@@ -7,20 +7,56 @@ library's public surface: `projdetect.cli.run(argv)`, or the exported function
 when no command exists. Names are looked up at call time, so the traced run's
 wrappers are seen. Results are summarised after each operation's clock stops,
 using no library call that touches a cache.
+
+Between operations the child also times a fixed speed kernel, about
+CALIBRATIONS times per repetition. The kernel calls no library code; its time
+tracks how fast the shared host runs at that moment, so the parent can state
+every time at one reference speed.
 """
 
 import contextlib
 import io
 import json
+import math
 import resource
 import sys
 import time
 from pathlib import Path
 
+# Speed-kernel runs per repetition, spread evenly over its operations.
+CALIBRATIONS = 16
+# Speed-kernel runs in a child that only sets up.
+SETUP_CALIBRATIONS = 3
+
 
 def monotonic_ns() -> int:
     """Clock shared with the parent process, for the set-up time."""
     return time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+
+
+class SpeedKernel:
+    """Fixed interpreter-bound and numpy-bound work, a few ms each, timed apart.
+
+    The halves react differently when the shared host slows, so the parent
+    weighs them per workload. The kernel touches no projdetect code, so a
+    change to the library never changes what it measures.
+    """
+
+    def __init__(self, numpy):
+        self.vector = numpy.exp(1j * numpy.arange(1 << 15) * 1e-3)
+
+    def __call__(self) -> tuple[int, int]:
+        """Nanoseconds of the interpreter half and of the numpy half."""
+        t0 = time.perf_counter_ns()
+        counts = {}
+        for i in range(10000):
+            key = (i % 97, i % 13)
+            counts[key] = counts.get(key, 0) + i * 3 // 7
+        t1 = time.perf_counter_ns()
+        x = self.vector
+        for _ in range(32):
+            x = (x * self.vector).conj() + 1.0
+        return t1 - t0, time.perf_counter_ns() - t1
 
 
 def _label(text: str) -> tuple[int, ...]:
@@ -104,7 +140,9 @@ def main(prepare=None) -> None:
         "numpy": numpy.__version__,
         "projdetect": getattr(projdetect, "__version__", "unknown"),
     }
+    kernel = SpeedKernel(numpy)
     if request.get("setup_only"):
+        report["kernel_ns"] = [kernel() for _ in range(SETUP_CALIBRATIONS)]
         print(json.dumps(report))
         return
     if prepare is not None:
@@ -115,8 +153,12 @@ def main(prepare=None) -> None:
 
         tracer = tracing.install()
     runner = Runner(projdetect)
+    stride = math.ceil(len(request["ops"]) / CALIBRATIONS)
+    kernel_ns = []
     ops = []
-    for op in request["ops"]:
+    for i, op in enumerate(request["ops"]):
+        if i % stride == 0:
+            kernel_ns.append(kernel())
         kind, args = op["kind"], op["args"]
         root_span = tracer.open_op() if tracer else None
         t0 = time.perf_counter_ns()
@@ -135,7 +177,9 @@ def main(prepare=None) -> None:
             except Exception as exc:
                 entry["error"] = f"summary {type(exc).__name__}: {exc}"
         ops.append(entry)
+    kernel_ns.append(kernel())
     report["ops"] = ops
+    report["kernel_ns"] = kernel_ns
     report["maxrss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if tracer:
         report["trace"] = tracer.finish(request["spans"])

@@ -8,7 +8,14 @@ each in a fresh child interpreter with BLAS threads pinned to 1, so the
 library's unbounded caches start cold as on every CLI invocation. It is a
 closed loop with one client: the child issues one operation at a time and
 waits for it. Repetitions continue until --seconds have passed, with at
-least MIN_REPS. Every answer is checked for its meaning after timing.
+least the workload's MIN_REPS. Every answer is checked for its meaning after
+timing.
+
+The host is shared and its speed drifts by a quarter or more over minutes.
+So every child also times a fixed speed kernel between operations, and each
+time it reports is scaled to the reference speed by that child's
+speed_scale, at the operation's kernel weight (workloads.kernel_weights).
+The run record keeps the unscaled figures and each child's scale.
 
 With --trace 0 the last stdout line carries the end-to-end metrics; with
 --trace 1 untraced and traced repetitions alternate and it carries the
@@ -31,6 +38,7 @@ import time
 from pathlib import Path
 
 import checks
+import tracer
 import workloads
 from child import monotonic_ns
 
@@ -38,10 +46,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = ROOT / ".bench_out"
 
-MIN_REPS = 3
 MIN_TRACED_REPS = 2
 # Children that only set up, so setup_s is a median over several start-ups.
-SETUP_PROBES = 4
+SETUP_PROBES = 8
 RUN_BUDGET_S = 170
 BLAS_PIN = {
     "OMP_NUM_THREADS": "1",
@@ -52,6 +59,10 @@ BLAS_PIN = {
 }
 TAIL_LEVELS = (0.9, 0.8, 0.75, 0.5)
 TAIL_BEYOND = 10
+# The speed kernel's interpreter and numpy halves at the reference speed,
+# near their usual times on a 2-vCPU Xeon VM at 2.0 GHz. Changing them
+# rescales every reported time.
+REFERENCE_KERNEL_NS = (4_500_000, 4_500_000)
 # Register bytes are 2^t * D * 16 per round, computed, not measured.
 COMPUTED = ("qpe.register_bytes_max", "qpe.register_bytes_sum")
 
@@ -103,7 +114,7 @@ class Child:
         return report
 
 
-def measure(ops: list[dict], seconds: int, trace: bool, workload: str) -> tuple[list[dict], list[float]]:
+def measure(ops: list[dict], seconds: int, trace: bool, workload: str) -> tuple[list[dict], list[dict]]:
     """Repetitions until `seconds` have passed; traced and untraced alternate under --trace 1."""
     child = Child(time.monotonic())
     spans = str(OUT_DIR / f"spans-{workload}.npz")
@@ -113,7 +124,7 @@ def measure(ops: list[dict], seconds: int, trace: bool, workload: str) -> tuple[
     for _ in range(SETUP_PROBES):
         probe = child.run({"ops": ops, "trace": False, "spans": None, "setup_only": True})
         if "crash" not in probe:
-            probes.append(probe["setup_s"])
+            probes.append(probe)
     reps = []
     start = time.monotonic()
     while True:
@@ -127,7 +138,7 @@ def measure(ops: list[dict], seconds: int, trace: bool, workload: str) -> tuple[
         if "crash" in rep:
             break
         plain = sum(1 for r in reps if not r["traced"])
-        enough = plain >= (MIN_TRACED_REPS if trace else MIN_REPS) and (
+        enough = plain >= (MIN_TRACED_REPS if trace else workloads.MIN_REPS[workload]) and (
             not trace or len(reps) - plain >= MIN_TRACED_REPS
         )
         last = rep["elapsed_s"]
@@ -155,28 +166,63 @@ def judge(ops: list[dict], reps: list[dict]) -> tuple[int, int, list[str]]:
     return attempted, failed, reasons
 
 
-def wall_s(rep: dict) -> float:
-    return (rep["ops"][-1]["t1"] - rep["ops"][0]["t0"]) / 1e9
+def speed_scale(rep: dict, weight: float) -> float:
+    """Factor that states this child's times at the reference speed.
+
+    Each kernel run gives a slowdown: `weight` times its interpreter half's
+    over the reference, plus the rest times its numpy half's. The factor is
+    one over the median slowdown.
+    """
+    py_ref, np_ref = REFERENCE_KERNEL_NS
+    return 1 / statistics.median(weight * py / py_ref + (1 - weight) * np_ / np_ref for py, np_ in rep["kernel_ns"])
 
 
-def end_to_end(ops, reps, probes, attempted, failed) -> tuple[dict, dict]:
+def latencies_ns(rep: dict, weights: list[float] | None) -> list[float]:
+    """Each operation's latency; at the reference speed when `weights` gives each one's kernel weight."""
+    if weights is None:
+        return [e["ns"] for e in rep["ops"]]
+    scales = {w: speed_scale(rep, w) for w in set(weights)}
+    return [e["ns"] * scales[w] for e, w in zip(rep["ops"], weights)]
+
+
+def wall_s(rep: dict, weights: list[float] | None) -> float:
+    """Time spent in the repetition's operations, without the client's bookkeeping between them."""
+    return sum(latencies_ns(rep, weights)) / 1e9
+
+
+def timings(plain, starts, level, weights, setup_weight) -> tuple[dict, dict]:
+    """The four time metrics at the reference speed, and unscaled."""
+
+    def figures(scaled):
+        op_weights = weights if scaled else None
+        latencies = [ns / 1e6 for r in plain for ns in latencies_ns(r, op_weights)]
+        return {
+            "wall_s": statistics.median(wall_s(r, op_weights) for r in plain),
+            "op_p50_ms": statistics.median(latencies),
+            "op_tail_ms": nearest_rank(latencies, level),
+            "setup_s": statistics.median(r["setup_s"] * (speed_scale(r, setup_weight) if scaled else 1) for r in starts),
+        }
+
+    return figures(True), figures(False)
+
+
+def end_to_end(ops, reps, probes, attempted, failed, workload) -> tuple[dict, dict]:
     plain = [r for r in reps if "crash" not in r and not r["traced"]]
-    latencies = [e["ns"] / 1e6 for r in plain for e in r["ops"]]
-    level = tail_level(len(ops) * MIN_REPS)
-    setups = [r["setup_s"] for r in reps if "crash" not in r] + probes
-    metrics = {
-        "wall_s": statistics.median(wall_s(r) for r in plain),
-        "op_p50_ms": statistics.median(latencies),
-        "op_tail_ms": nearest_rank(latencies, level),
-        "setup_s": statistics.median(setups),
-        "peak_rss_mb": statistics.median(r["maxrss_kb"] * 1024 / 1e6 for r in plain),
-        "pass_frac": 1 - failed / attempted,
-    }
+    starts = [r for r in reps if "crash" not in r] + probes
+    level = tail_level(len(ops) * workloads.MIN_REPS[workload])
+    weight = workloads.KERNEL_WEIGHT[workload]
+    metrics, unscaled = timings(plain, starts, level, workloads.kernel_weights(workload, ops), weight)
+    metrics["peak_rss_mb"] = statistics.median(r["maxrss_kb"] * 1024 / 1e6 for r in plain)
+    metrics["pass_frac"] = 1 - failed / attempted
     detail = {
-        "op_samples": len(latencies),
+        "op_samples": sum(len(r["ops"]) for r in plain),
         "op_tail_level": level,
-        "setup_samples": setups,
-        "wall_s_per_rep": [wall_s(r) for r in plain],
+        "unscaled": unscaled,
+        "kernel_weight": weight,
+        "speed_scale_per_rep": [speed_scale(r, weight) for r in plain],
+        "speed_scale_per_start": [speed_scale(r, weight) for r in starts],
+        "setup_s_per_start": [r["setup_s"] for r in starts],
+        "wall_s_per_rep": [wall_s(r, None) for r in plain],
         "fail_frac": failed / attempted,
     }
     return metrics, detail
@@ -199,7 +245,6 @@ def span_layers(path: str, trace: dict) -> tuple[dict, dict]:
         root = root[root]
     op_id = names.index("bench.op")
     ops = np.nonzero(name == op_id)[0]
-    subtree_self = np.bincount(root, weights=self_ns, minlength=len(dur))
     op_ns = float(dur[ops].sum())
     calls = np.bincount(name, minlength=len(names))
     total = np.bincount(name, weights=dur, minlength=len(names))
@@ -229,32 +274,45 @@ def span_layers(path: str, trace: dict) -> tuple[dict, dict]:
         lookups = stats["hits"] + stats["misses"]
         layers[f"{cache}.cache_size"] = stats["size"]
         layers[f"{cache}.hit_ratio"] = stats["hits"] / lookups if lookups else 0.0
-    consistency = {
-        "self_sum_gap_ns": float(np.abs(subtree_self[ops] - dur[ops]).max()) if len(ops) else 0.0,
-        "spans_outside_ops": int(np.count_nonzero(~np.isin(root, ops))),
-    }
-    return layers, consistency
+    return layers, {"spans_outside_ops": int(np.count_nonzero(~np.isin(root, ops)))}
 
 
-def per_layer(reps: list[dict], wanted: list[str], workload: str) -> tuple[dict, dict]:
+def per_layer(reps: list[dict], wanted: list[str], workload: str, weights: list[float]) -> tuple[dict, dict]:
     traced = [r for r in reps if "crash" not in r and r["traced"]]
     plain = [r for r in reps if "crash" not in r and not r["traced"]]
     if not traced:
         raise RuntimeError("no traced repetition completed")
     rows = [rep["layers"] for rep in traced]
-    unobserved = sorted({m for m in wanted if any(m not in row for row in rows)} - {"trace.overhead_s"})
-    metrics = {m: statistics.median(row.get(m, 0) for row in rows) for m in wanted if m != "trace.overhead_s"}
-    overhead = statistics.median(wall_s(r) for r in traced) - statistics.median(wall_s(r) for r in plain)
+    absent = sorted({a for rep in traced for a in rep["trace"]["absent"]})
+    hook_errors = {k: v for rep in traced for k, v in rep["trace"]["hook_errors"].items()}
+    blind = tracer.blind_metrics(absent, hook_errors)
+    unobserved = sorted({m for m in wanted if any(m not in row for row in rows)} - {"trace.overhead_s"} - blind)
+    # A layer the workload never calls reads 0; a metric whose target is
+    # absent or whose hook failed reads null, so it cannot pass for a gain.
+    metrics = {
+        m: None if m in blind else statistics.median(row.get(m, 0) for row in rows)
+        for m in wanted
+        if m != "trace.overhead_s"
+    }
+    overhead = statistics.median(wall_s(r, weights) for r in traced) - statistics.median(
+        wall_s(r, weights) for r in plain
+    )
     metrics["trace.overhead_s"] = overhead
     detail = {
         "unobserved": unobserved,
+        "blind": sorted(blind & set(wanted)),
         "consistency": [rep["consistency"] for rep in traced],
-        "absent": traced[-1]["trace"]["absent"],
-        "hook_errors": traced[-1]["trace"]["hook_errors"],
+        "absent": absent,
+        "hook_errors": hook_errors,
         "computed": list(COMPUTED),
         "spans_file": str(OUT_DIR.name + "/" + f"spans-{workload}.npz"),
     }
     return metrics, detail
+
+
+def trace_sound(detail: dict) -> bool:
+    """No hook failed and every span lies under an operation."""
+    return not detail["hook_errors"] and all(g["spans_outside_ops"] == 0 for g in detail["consistency"])
 
 
 def environment(workload: str, seed: int, seconds: int, trace: int, numpy_version: str) -> dict:
@@ -315,12 +373,10 @@ def main(argv=None) -> int:
         return 1
     correct = failed == 0
     if args.trace:
-        values, detail = per_layer(reps, wanted, args.workload)
-        correct = correct and all(
-            g["self_sum_gap_ns"] == 0 and g["spans_outside_ops"] == 0 for g in detail["consistency"]
-        )
+        values, detail = per_layer(reps, wanted, args.workload, workloads.kernel_weights(args.workload, ops))
+        correct = correct and trace_sound(detail)
     else:
-        values, detail = end_to_end(ops, reps, probes, attempted, failed)
+        values, detail = end_to_end(ops, reps, probes, attempted, failed, args.workload)
     record.update(detail)
     missing = [m for m in wanted if m not in values]
     if missing:

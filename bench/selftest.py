@@ -8,6 +8,9 @@
    wrong, and each corrupted answer must be counted as a failure.
 3. The child runs again with a fault injected into the library, and the
    benchmark must count the operations that fault breaks as failed.
+4. A traced child runs with one tracer target missing and one readout hook
+   failing. Their metrics must read null, not 0, and the run must not be
+   correct.
 
 Exits 0 when all of that holds. Takes a few seconds.
 """
@@ -150,6 +153,48 @@ FAULTS = {
 }
 
 
+def _raise(*_):
+    raise RuntimeError("injected hook failure")
+
+
+def _blind_tracer(lib):
+    """Point one target at a missing name and make the qpe_run readout fail."""
+    import tracer
+
+    tracer.TARGETS[:] = [
+        (span, module, "no_such_function" if span == "qpe.hadamard_layer" else path,
+         _raise if span == "qpe.qpe_run" else hook)
+        for span, module, path, hook in tracer.TARGETS
+    ]
+
+
+def blind_trace(ops, clean, script) -> list[str]:
+    """Check that absent targets and failing hooks read null and fail the run."""
+    spans = str(run.OUT_DIR / "spans-selftest.npz")
+    run.OUT_DIR.mkdir(exist_ok=True)
+    child = run.Child(time.monotonic(), argv=[sys.executable, script, "--blind-tracer"])
+    rep = child.run({"ops": ops, "trace": True, "spans": spans})
+    if "crash" in rep:
+        return [f"blind tracer: child crashed: {rep['crash']}"]
+    rep["traced"] = True
+    rep["layers"], rep["consistency"] = run.span_layers(spans, rep["trace"])
+    spec = json.loads((run.ROOT / "BENCHMARK.json").read_text())
+    wanted = [m["name"] for m in spec["per_layer"]]
+    values, detail = run.per_layer([dict(clean, traced=False), rep], wanted, "selftest", [0.5] * len(ops))
+    problems = []
+    for metric in ("qpe.hadamard_layer.total_s", "qpe.cu_queries", "qpe.gates", "qpe.register_bytes_max"):
+        if values[metric] is not None:
+            problems.append(f"blind tracer: {metric} reads {values[metric]}, not null")
+    for metric in ("qpe.qpe_run.calls", "qpe.inverse_qft.total_s", "symgroup.character.calls"):
+        if not values[metric]:
+            problems.append(f"blind tracer: {metric} reads {values[metric]} though its target ran")
+    if run.trace_sound(detail):
+        problems.append("blind tracer: a failing hook left the traced run sound")
+    print(f"blind tracer: absent {detail['absent']}, hook errors {sorted(detail['hook_errors'])}, "
+          f"{len(detail['blind'])} metrics null")
+    return problems
+
+
 def _failed_names(ops, rep) -> set[str]:
     names = set()
     for op, entry in zip(ops, rep["ops"]):
@@ -163,6 +208,11 @@ def main() -> int:
         import child
 
         child.main(prepare=FAULTS[sys.argv[2]][0])
+        return 0
+    if sys.argv[1:] == ["--blind-tracer"]:
+        import child
+
+        child.main(prepare=_blind_tracer)
         return 0
     ops = small_ops()
     problems = []
@@ -196,6 +246,7 @@ def main() -> int:
         print(f"fault {fault}: {failed} of {len(ops)} answers counted as failed ({', '.join(sorted(broken))})")
         if missed:
             problems.append(f"fault {fault}: not counted for {sorted(missed)}")
+    problems += blind_trace(ops, clean, script)
     for p in problems:
         print("PROBLEM:", p)
     print("self-test", "failed" if problems else "passed")

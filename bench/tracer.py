@@ -207,6 +207,21 @@ TARGETS = [
     ("holographic.solve_U", "holographic", "solve_U", _solve_u),
 ]
 
+# Metrics a target's hook produces, and metrics computed from a target's spans
+# beyond its own .calls/.total_s/.self_s.
+HOOK_METRICS = {
+    "detection.alice_detect": ("detection.rounds",),
+    "qpe.qpe_run": ("qpe.register_bytes_sum", "qpe.register_bytes_max", "qpe.cu_queries", "qpe.gates",
+                    "qpe.wrong_mass_max"),
+    "classical.classical_detect": ("classical.correct_ratio",),
+    "classical.estimate_eigenvalue": ("classical.min_rounding_margin",),
+    "classical.l2_inner_product": ("classical.queries",),
+    "holographic.dft_extract": ("holographic.direct_mults", "holographic.fft_butterflies"),
+    "holographic.solve_U": ("holographic.solve_mults", "holographic.residual_max"),
+    "groupalgebra.mul": ("groupalgebra.mul.terms",),
+}
+SPAN_METRICS = {"groupalgebra.mul": ("groupalgebra.first_mul_s",)}
+
 # functools caches read at the end of the run: (readout name, module, attribute)
 CACHES = [
     ("symgroup.character", "symgroup", "character"),
@@ -267,3 +282,18 @@ def cache_readouts(tracer: Tracer) -> dict:
         stats = info()
         out[name] = {"size": stats.currsize, "hits": stats.hits, "misses": stats.misses}
     return out
+
+
+def blind_metrics(absent, hook_errors) -> set[str]:
+    """Metrics the run could not observe: their target is absent or their hook failed."""
+    blind = set()
+    for span in absent:
+        if span.endswith(".cache"):
+            cache = span[: -len(".cache")]
+            blind |= {f"{cache}.cache_size", f"{cache}.hit_ratio"}
+            continue
+        blind |= {f"{span}.calls", f"{span}.total_s", f"{span}.self_s"}
+        blind |= set(SPAN_METRICS.get(span, ())) | set(HOOK_METRICS.get(span, ()))
+    for span in hook_errors:
+        blind |= set(HOOK_METRICS.get(span, ()))
+    return blind
