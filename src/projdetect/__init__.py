@@ -26,7 +26,6 @@ from .centre import (
     chi_max,
     content_sum,
     cycle_class_size,
-    g_inner,
     k_star,
     k_star_growth_report,
     normalized_character,

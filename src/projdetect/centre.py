@@ -181,31 +181,103 @@ def structure_constants(n: int, mu: Partition):
     return tuple(tuple(r) for r in matrix)
 
 
-def _conj(v):
-    return v.conjugate() if isinstance(v, complex) else v
+class LabelledState:
+    """A state stored by its coefficients over a g-orthogonal idempotent basis.
+
+    A subclass passes its constructor's size arguments and its label set, in
+    canonical order, and supplies the canonical form of one label
+    (`as_label`), the text of the error raised for a label outside the set
+    (`label_error`) and the squared g-norm of each basis idempotent
+    (`norm_sq`). Coefficients stay exact (ints or Fractions) when the state
+    is built from projectors; QPE-facing helpers convert to floats. Because
+    the basis is g-orthogonal, the g inner product delta(conj(antipode(a)) b)
+    collapses to sum conj(a_L) b_L norm_sq(L).
+    """
+
+    size_error = "mismatched n"
+
+    def __init__(self, sizes: tuple[int, ...], labels: tuple, coeffs: dict):
+        self.sizes = sizes
+        self.labels = labels
+        valid = set(labels)
+        self.coeffs = {}
+        for label, val in coeffs.items():
+            label = self.as_label(label)
+            if label not in valid:
+                raise ValueError(self.label_error.format(label=label, n=self.n))
+            if val != 0:
+                self.coeffs[label] = val
+
+    def amplitude_scale(self, label) -> float:
+        """The l2 weight of a label's amplitude: sqrt(norm_sq)."""
+        return float(self.norm_sq(label)) ** 0.5
+
+    def g_inner(self, other: "LabelledState"):
+        if self.sizes != other.sizes:
+            raise ValueError(self.size_error)
+        acc = 0
+        for label, a in self.coeffs.items():
+            b = other.coeffs.get(label)
+            if b is None:
+                continue
+            a_c = a.conjugate() if isinstance(a, complex) else a
+            acc += a_c * b * self.norm_sq(label)
+        return acc
+
+    def g_norm_sq(self):
+        return self.g_inner(self)
+
+    def normalized(self):
+        """Scale to unit g-norm (float coefficients in general)."""
+        norm = abs(self.g_norm_sq()) ** 0.5
+        if norm == 0:
+            raise ValueError("cannot normalize the zero state")
+        return type(self)(*self.sizes, {r: v / norm for r, v in self.coeffs.items()})
+
+    def unit_amplitudes(self, order=None):
+        """Unit vector of amplitudes over the g-orthonormal idempotent basis.
+
+        The orthonormal basis vectors are the idempotents scaled to unit
+        g-norm, so the amplitude carried by label L is a_L sqrt(norm_sq(L)).
+        This is the system state the QPE simulator consumes.
+        """
+        import numpy as np
+
+        if order is None:
+            order = self.labels
+        amps = np.array(
+            [
+                complex(self.coeffs.get(label, 0)) * self.amplitude_scale(label)
+                for label in order
+            ],
+            dtype=complex,
+        )
+        norm = np.linalg.norm(amps)
+        if norm == 0:
+            raise ValueError("zero state has no amplitude vector")
+        return amps / norm
 
 
-class CentreState:
+class CentreState(LabelledState):
     """A centre element stored by its coefficients over the projectors P_R.
 
-    Coefficients stay exact (ints or Fractions) when the state is built from
-    projectors; QPE-facing helpers convert to floats. The g inner product is
-    delta(conj(antipode(a)) b); on projector coefficients it collapses to
-    sum conj(a_R) b_R d_R^2/n! because the P_R are g-orthogonal with squared
-    norm d_R^2/n!.
+    The P_R are g-orthogonal with squared norm d_R^2/n!.
     """
+
+    label_error = "{label} is not a diagram of {n}"
+    as_label = staticmethod(as_partition)
 
     def __init__(self, n: int, coeffs: dict):
         self.n = n
-        valid = set(partitions(n))
-        clean = {}
-        for rep, val in coeffs.items():
-            rep = as_partition(rep)
-            if rep not in valid:
-                raise ValueError(f"{rep} is not a diagram of {n}")
-            if val != 0:
-                clean[rep] = val
-        self.coeffs = clean
+        super().__init__((n,), partitions(n), coeffs)
+
+    def norm_sq(self, rep: Partition) -> Fraction:
+        return Fraction(dimension(rep) ** 2, factorial(self.n))
+
+    def amplitude_scale(self, rep: Partition) -> int:
+        # d_R, exact as a float where sqrt(d_R^2/n!) is not; the common
+        # 1/sqrt(n!) drops out in the l2 normalization
+        return dimension(rep)
 
     @classmethod
     def from_class_sums(cls, n: int, class_coeffs: dict) -> "CentreState":
@@ -237,57 +309,8 @@ class CentreState:
             out[mu] = Fraction(acc, nf) if isinstance(acc, int) else acc / nf
         return out
 
-    def g_inner(self, other: "CentreState"):
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        nf = factorial(self.n)
-        acc = 0
-        for rep, a in self.coeffs.items():
-            b = other.coeffs.get(rep)
-            if b is None:
-                continue
-            w = dimension(rep) ** 2
-            term = _conj(a) * b * w
-            acc = acc + (Fraction(term, nf) if isinstance(term, int) else term / nf)
-        return acc
-
-    def g_norm_sq(self):
-        return self.g_inner(self)
-
-    def normalized(self) -> "CentreState":
-        """Scale to unit g-norm (float coefficients in general)."""
-        norm = abs(self.g_norm_sq()) ** 0.5
-        if norm == 0:
-            raise ValueError("cannot normalize the zero state")
-        return CentreState(self.n, {r: v / norm for r, v in self.coeffs.items()})
-
-    def unit_amplitudes(self, order: tuple[Partition, ...] | None = None):
-        """Unit vector of amplitudes over the g-orthonormal projector basis.
-
-        The orthonormal basis vectors are P_R scaled to unit g-norm, so the
-        amplitude carried by P_R is a_R d_R/sqrt(n!); the overall scale drops
-        out in the final l2 normalization. This is the system state the QPE
-        simulator consumes.
-        """
-        import numpy as np
-
-        if order is None:
-            order = partitions(self.n)
-        amps = np.array(
-            [complex(self.coeffs.get(rep, 0)) * dimension(rep) for rep in order],
-            dtype=complex,
-        )
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("zero state has no amplitude vector")
-        return amps / norm
-
 
 def projector_state(rep: Partition) -> CentreState:
     """The projector P_R itself: coefficient one on R, zero elsewhere."""
     rep = as_partition(rep)
     return CentreState(sum(rep), {rep: Fraction(1)})
-
-
-def g_inner(a: CentreState, b: CentreState):
-    return a.g_inner(b)

@@ -338,33 +338,31 @@ def estimate_eigenvalue(
     delta: float = 0.05,
     seed: int = 0,
     rng=None,
-    epsilon=None,
+    epsilon_sq=None,
 ) -> EigenvalueEstimate:
     """Estimate the T_k eigenvalue on diagram rep by l2-sampling.
 
     X is the identity column of the projector matrix, Y the T_k indicator
     row; the eigenvalue is <X, Y>/|X|^2, and the diagonal entry
     preg_entry(R, e, e) equals |X|^2, so the already-read norm serves as the
-    divisor. epsilon defaults to the resolving scale |X|/(2|Y|), under which
-    the rounded integer is exact with probability at least 1 - delta. Passing
-    epsilon_star(rep, k) instead promises only an additive error of at most
-    epsilon_star |X||Y| = 1 on <X, Y>, which is n!/d_R^2 on the eigenvalue,
-    with probability at least 1 - delta; that does not resolve integers, so
-    the rounded value is unreliable there. The estimate is flagged when the
-    rounded value is not an eigenvalue any diagram of n takes on T_k.
+    divisor. epsilon_sq, the exact squared scale, defaults to the resolving
+    scale (|X|/(2|Y|))^2, under which the rounded integer is exact with
+    probability at least 1 - delta. Passing epsilon_star_sq(rep, k) instead
+    promises only an additive error of at most epsilon_star |X||Y| = 1 on
+    <X, Y>, which is n!/d_R^2 on the eigenvalue, with probability at least
+    1 - delta; that does not resolve integers, so the rounded value is
+    unreliable there. The estimate is flagged when the rounded value is not
+    an eigenvalue any diagram of n takes on T_k.
     """
     rep = as_partition(rep)
     n = sum(rep)
     if rng is None:
         rng = np.random.default_rng(seed)
+    if epsilon_sq is None:
+        epsilon_sq = resolving_epsilon_sq(rep, k)
     x = ProjectorColumnOracle(rep)
     y = CycleClassRowOracle(n, k)
-    if epsilon is None:
-        sample = l2_inner_product(
-            x, y, delta=delta, rng=rng, epsilon_sq=resolving_epsilon_sq(rep, k)
-        )
-    else:
-        sample = l2_inner_product(x, y, epsilon, delta, rng=rng)
+    sample = l2_inner_product(x, y, delta=delta, rng=rng, epsilon_sq=epsilon_sq)
     ratio = sample.value / x._norm_sq
     value = _round_half_up(ratio)
     column = {normalized_character(r, k) for r in partitions(n)}

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 
+from . import centre, classical, detection, holographic, kron_lr
 from .symgroup import (
     CharacterTable,
     format_partition,
@@ -55,6 +56,53 @@ def _triple_arg(parser: argparse.ArgumentParser, text: str):
     return tuple(_partition_arg(parser, p) for p in parts)
 
 
+def _diagram_arg(args, parser: argparse.ArgumentParser):
+    """--r, a diagram of --n boxes."""
+    rep = _partition_arg(parser, args.r)
+    if sum(rep) != args.n:
+        parser.error(f"|{args.r}| = {sum(rep)} does not match --n {args.n}")
+    return rep
+
+
+def _kron_triple(args, parser: argparse.ArgumentParser):
+    """--triple, three diagrams of --n boxes."""
+    triple = _triple_arg(parser, args.triple)
+    if any(sum(p) != args.n for p in triple):
+        parser.error(f"every diagram in {args.triple!r} must have {args.n} boxes")
+    return triple
+
+
+def _lr_triple(args, parser: argparse.ArgumentParser):
+    """--triple, diagrams (R; R1; R2) of m + n, m and n boxes."""
+    triple = _triple_arg(parser, args.triple)
+    rep, r1, r2 = triple
+    if sum(r1) != args.m or sum(r2) != args.n or sum(rep) != args.m + args.n:
+        parser.error(
+            f"sizes of {args.triple!r} must be ({args.m + args.n}; {args.m}; {args.n})"
+        )
+    return triple
+
+
+def _checked(kind, ok, need: str):
+    """An argparse type: kind(text), refused as a usage error unless ok(value)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 0, "at least 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, "at least 1")
+_GROUP_SIZE = _checked(int, lambda v: v >= 2, "at least 2")
+_NONNEGATIVE = _checked(float, lambda v: v >= 0, "at least 0")
+_PROBABILITY = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -69,11 +117,13 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="rng seed (default 0, or $" + SEED_ENV + ")")
 
 
-def _add_formats(p: argparse.ArgumentParser, csv_too: bool = True) -> None:
+def _finish_leaf(p: argparse.ArgumentParser, handler, csv_too: bool = True) -> None:
+    """Add a leaf command's output flags and the handler that run() calls."""
     p.add_argument("--json", action="store_true", help="emit JSON")
     if csv_too:
         p.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--out", default=None, help="write output to this path")
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,91 +134,91 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chars", help="character table of S_n")
-    p.add_argument("--n", type=int, required=True)
-    _add_formats(p)
+    p.add_argument("--n", type=_COUNT, required=True)
+    _finish_leaf(p, _cmd_chars)
 
     p = sub.add_parser("kstar", help="signature cutoffs k*(n)")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument(
         "--signatures-for",
-        type=int,
+        type=_GROUP_SIZE,
         default=None,
         metavar="N",
         help="emit the signature table CSV for this n instead",
     )
-    _add_formats(p)
+    _finish_leaf(p, _cmd_kstar)
 
     p = sub.add_parser("detect", help="run a detection pipeline")
     dsub = p.add_subparsers(dest="pipeline", required=True)
 
     d = dsub.add_parser("zcsn", help="centre signature detection")
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=_GROUP_SIZE, required=True)
     d.add_argument("--r", required=True, help='projector label, e.g. "3,3"')
     _add_seed(d)
-    _add_formats(d, csv_too=False)
+    _finish_leaf(d, _cmd_detect, csv_too=False)
 
     d = dsub.add_parser("kron", help="tensor-square detection")
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=_GROUP_SIZE, required=True)
     d.add_argument("--triple", required=True, help='"R1;R2;R3"')
     _add_seed(d)
-    _add_formats(d, csv_too=False)
+    _finish_leaf(d, _cmd_detect, csv_too=False)
 
     d = dsub.add_parser("lr", help="restriction detection")
-    d.add_argument("--m", type=int, required=True)
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--m", type=_COUNT, required=True)
+    d.add_argument("--n", type=_COUNT, required=True)
     d.add_argument("--triple", required=True, help='"R;R1;R2"')
     _add_seed(d)
-    _add_formats(d, csv_too=False)
+    _finish_leaf(d, _cmd_detect, csv_too=False)
 
     d = dsub.add_parser("classical", help="randomized sampling detection")
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=_GROUP_SIZE, required=True)
     d.add_argument("--r", required=True)
-    d.add_argument("--delta", type=float, default=0.05)
-    d.add_argument("--trials", type=int, default=1)
+    d.add_argument("--delta", type=_PROBABILITY, default=0.05)
+    d.add_argument("--trials", type=_POSITIVE, default=1)
     _add_seed(d)
-    _add_formats(d, csv_too=False)
+    _finish_leaf(d, _cmd_detect_classical, csv_too=False)
 
     p = sub.add_parser("kron", help="Kronecker coefficients and dimensions")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--triple", default=None, help='"R1;R2;R3"')
     p.add_argument("--table", action="store_true", help="list all nonzero triples")
-    _add_formats(p)
+    _finish_leaf(p, _cmd_algebra)
 
     p = sub.add_parser("lr", help="restriction coefficients and dimensions")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_COUNT, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--triple", default=None, help='"R;R1;R2"')
     p.add_argument("--table", action="store_true", help="list all nonzero triples")
-    _add_formats(p)
+    _finish_leaf(p, _cmd_algebra)
 
     p = sub.add_parser("holo", help="geometry-profile pipeline")
     hsub = p.add_subparsers(dest="stage", required=True)
 
     h = hsub.add_parser("roundtrip", help="diagram -> profile -> diagram")
-    h.add_argument("--n", type=int, required=True)
+    h.add_argument("--n", type=_POSITIVE, required=True)
     h.add_argument("--capital-n", type=int, required=True)
-    h.add_argument("--lambda", dest="lam", type=int, default=None)
+    h.add_argument("--lambda", dest="lam", type=_COUNT, default=None)
     h.add_argument("--rho", type=float, default=1.0)
     h.add_argument("--r", default=None, help="run a single diagram")
-    _add_formats(h)
+    _finish_leaf(h, _cmd_holo_roundtrip)
 
     h = hsub.add_parser("cutoff-table", help="moment cutoff next to k*")
     h.add_argument("--n-max", type=int, required=True)
-    _add_formats(h)
+    _finish_leaf(h, _cmd_holo_cutoffs)
 
     h = hsub.add_parser("cost", help="operation counts for one cutoff")
-    h.add_argument("--lambda", dest="lam", type=int, required=True)
-    h.add_argument("--beta", type=float, required=True)
-    _add_formats(h, csv_too=False)
+    h.add_argument("--lambda", dest="lam", type=_POSITIVE, required=True)
+    h.add_argument("--beta", type=_NONNEGATIVE, required=True)
+    _finish_leaf(h, _cmd_holo_cost, csv_too=False)
 
     p = sub.add_parser("report", help="complexity summary across pipelines")
     p.add_argument("--n-max", type=int, default=12)
-    _add_formats(p, csv_too=False)
+    _finish_leaf(p, _cmd_report, csv_too=False)
 
     return parser
 
 
-def _cmd_chars(args, out: str | None) -> int:
+def _cmd_chars(args, parser, out: str | None) -> int:
     table = CharacterTable(args.n)
     if args.json:
         _emit(table.to_json(), out)
@@ -184,15 +234,11 @@ def _cmd_chars(args, out: str | None) -> int:
 
 
 def _cmd_kstar(args, parser, out: str | None) -> int:
-    from .centre import k_star_growth_report, signature_table_csv, k_star
-
     if args.signatures_for is not None:
         n = args.signatures_for
-        if n < 2:
-            parser.error("signature tables need n >= 2")
-        _emit(signature_table_csv(n, k_star(n)), out)
+        _emit(centre.signature_table_csv(n, centre.k_star(n)), out)
         return 0
-    rows = k_star_growth_report(args.n_max)
+    rows = centre.k_star_growth_report(args.n_max)
     if args.json:
         _emit(
             _dump(
@@ -218,95 +264,65 @@ def _cmd_kstar(args, parser, out: str | None) -> int:
     return 0
 
 
-def _cmd_detect_zcsn(args, parser, out: str | None) -> int:
-    from .detection import detect_projector
+def _centre_found(rep, transcript):
+    found = transcript.identified_label
+    return found, f"true={format_partition(rep)} identified={format_partition(found)}"
 
-    rep = _partition_arg(parser, args.r)
-    if sum(rep) != args.n:
-        parser.error(f"|{args.r}| = {sum(rep)} does not match --n {args.n}")
-    seed = _resolve_seed(args)
+
+def _triple_found(triple, transcript):
+    found = transcript.detected
+    return found, "detected=" + ";".join(format_partition(p) for p in found)
+
+
+# Each detect pipeline: (label from argv, detector of a label and a seed,
+# (found label, text line head) of a transcript). Library functions are
+# looked up per call, so wrappers installed on their modules see the calls.
+_PIPELINES = {
+    "zcsn": (
+        _diagram_arg,
+        lambda rep, seed: detection.detect_projector(rep, seed=seed),
+        _centre_found,
+    ),
+    "kron": (
+        _kron_triple,
+        lambda t, seed: kron_lr.kron_detect(
+            kron_lr.pair_projector_state(*t), seed=seed
+        ),
+        _triple_found,
+    ),
+    "lr": (
+        _lr_triple,
+        lambda t, seed: kron_lr.lr_detect(kron_lr.lr_projector_state(*t), seed=seed),
+        _triple_found,
+    ),
+}
+
+
+def _cmd_detect(args, parser, out: str | None) -> int:
+    label_arg, detect, describe = _PIPELINES[args.pipeline]
+    label = label_arg(args, parser)
     try:
-        transcript = detect_projector(rep, seed=seed)
+        transcript = detect(label, _resolve_seed(args))
     except ValueError as exc:
         print(f"detection failed: {exc}", file=sys.stderr)
         return 1
+    found, head = describe(label, transcript)
     if args.json:
         _emit(transcript.to_json(), out)
     else:
-        _emit(
-            f"true={format_partition(rep)} identified="
-            f"{format_partition(transcript.identified_label)} "
-            f"queries={transcript.query_total} gates={transcript.gate_total}",
-            out,
-        )
-    return 0 if transcript.identified_label == rep else 1
-
-
-def _cmd_detect_kron(args, parser, out: str | None) -> int:
-    from .kron_lr import kron_detect, pair_projector_state
-
-    triple = _triple_arg(parser, args.triple)
-    if any(sum(p) != args.n for p in triple):
-        parser.error(f"every diagram in {args.triple!r} must have {args.n} boxes")
-    seed = _resolve_seed(args)
-    try:
-        transcript = kron_detect(pair_projector_state(*triple), seed=seed)
-    except ValueError as exc:
-        print(f"detection failed: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _emit(transcript.to_json(), out)
-    else:
-        detected = ";".join(format_partition(p) for p in transcript.detected)
-        _emit(
-            f"detected={detected} queries={transcript.counters.cu_queries} "
-            f"gates={transcript.counters.total_gates}",
-            out,
-        )
-    return 0 if transcript.detected == triple else 1
-
-
-def _cmd_detect_lr(args, parser, out: str | None) -> int:
-    from .kron_lr import lr_detect, lr_projector_state
-
-    triple = _triple_arg(parser, args.triple)
-    rep, r1, r2 = triple
-    if sum(r1) != args.m or sum(r2) != args.n or sum(rep) != args.m + args.n:
-        parser.error(
-            f"sizes of {args.triple!r} must be ({args.m + args.n}; {args.m}; {args.n})"
-        )
-    seed = _resolve_seed(args)
-    try:
-        transcript = lr_detect(lr_projector_state(*triple), seed=seed)
-    except ValueError as exc:
-        print(f"detection failed: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _emit(transcript.to_json(), out)
-    else:
-        detected = ";".join(format_partition(p) for p in transcript.detected)
-        _emit(
-            f"detected={detected} queries={transcript.counters.cu_queries} "
-            f"gates={transcript.counters.total_gates}",
-            out,
-        )
-    return 0 if transcript.detected == triple else 1
+        counters = transcript.counters
+        _emit(f"{head} queries={counters.cu_queries} gates={counters.total_gates}", out)
+    return 0 if found == label else 1
 
 
 def _cmd_detect_classical(args, parser, out: str | None) -> int:
-    from .classical import classical_detect
-
-    rep = _partition_arg(parser, args.r)
-    if sum(rep) != args.n:
-        parser.error(f"|{args.r}| = {sum(rep)} does not match --n {args.n}")
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
+    rep = _diagram_arg(args, parser)
     seed = _resolve_seed(args)
     failures = 0
     first = None
     total_queries = 0
     for i in range(args.trials):
-        transcript = classical_detect(rep, delta=args.delta, seed=seed + i)
+        transcript = classical.classical_detect(rep, delta=args.delta, seed=seed + i)
         if first is None:
             first = transcript
         total_queries += transcript.queries
@@ -339,118 +355,62 @@ def _cmd_detect_classical(args, parser, out: str | None) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_kron(args, parser, out: str | None) -> int:
-    from .kron_lr import dim_K, kron_labels, kronecker, ribbon_count
+# kron and lr: (size flags, --triple parser, JSON key of a coefficient, and
+# the kron_lr functions giving a coefficient, the labels, the algebra's
+# dimension and its referee count). The functions are named, and looked up
+# per call, so that wrappers installed on kron_lr see the calls; the last two
+# names are also their keys in the summary.
+_ALGEBRAS = {
+    "kron": (
+        ("n",),
+        _kron_triple,
+        "kronecker",
+        ("kronecker", "kron_labels", "dim_K", "ribbon_count"),
+    ),
+    "lr": (
+        ("m", "n"),
+        _lr_triple,
+        "coefficient",
+        ("lr_coefficient", "lr_labels", "dim_A", "necklace_count"),
+    ),
+}
 
+
+def _cmd_algebra(args, parser, out: str | None) -> int:
+    flags, triple_arg, key, names = _ALGEBRAS[args.command]
+    coefficient, labels_of, dimension, referee = (getattr(kron_lr, f) for f in names)
+    sizes = {flag: getattr(args, flag) for flag in flags}
     if args.triple:
-        triple = _triple_arg(parser, args.triple)
-        if any(sum(p) != args.n for p in triple):
-            parser.error(f"every diagram in {args.triple!r} must have {args.n} boxes")
-        value = kronecker(*triple)
+        value = coefficient(*triple_arg(args, parser))
         if args.json:
-            _emit(
-                _dump({"schema": "1", "triple": args.triple, "kronecker": value}), out
-            )
+            _emit(_dump({"schema": "1", "triple": args.triple, key: value}), out)
         else:
             _emit(str(value), out)
         return 0
+    labels = labels_of(*sizes.values())
     if args.table:
         rows = [
-            (";".join(format_partition(p) for p in label), kronecker(*label))
-            for label in kron_labels(args.n)
+            (";".join(format_partition(p) for p in label), coefficient(*label))
+            for label in labels
         ]
         if args.json:
-            _emit(
-                _dump(
-                    {
-                        "schema": "1",
-                        "n": args.n,
-                        "rows": [{"triple": t, "kronecker": v} for t, v in rows],
-                    }
-                ),
-                out,
-            )
+            table = [{"triple": t, key: v} for t, v in rows]
+            _emit(_dump({"schema": "1", **sizes, "rows": table}), out)
         else:
-            lines = ["triple,kronecker"]
+            lines = [f"triple,{key}"]
             lines += [f'"{t}",{v}' for t, v in rows]
             _emit("\n".join(lines) + "\n", out)
         return 0
     summary = {
-        "schema": "1",
-        "n": args.n,
-        "dim_K": dim_K(args.n),
-        "ribbon_count": ribbon_count(args.n),
-        "nonzero_triples": len(kron_labels(args.n)),
+        **sizes,
+        names[2]: dimension(*sizes.values()),
+        names[3]: referee(*sizes.values()),
+        "nonzero_triples": len(labels),
     }
     if args.json:
-        _emit(_dump(summary), out)
+        _emit(_dump({"schema": "1", **summary}), out)
     else:
-        _emit(
-            f"n={args.n} dim_K={summary['dim_K']} "
-            f"ribbon_count={summary['ribbon_count']} "
-            f"nonzero_triples={summary['nonzero_triples']}",
-            out,
-        )
-    return 0
-
-
-def _cmd_lr(args, parser, out: str | None) -> int:
-    from .kron_lr import dim_A, lr_coefficient, lr_labels, necklace_count
-
-    if args.triple:
-        rep, r1, r2 = _triple_arg(parser, args.triple)
-        if sum(r1) != args.m or sum(r2) != args.n or sum(rep) != args.m + args.n:
-            parser.error(
-                f"sizes of {args.triple!r} must be ({args.m + args.n}; {args.m}; {args.n})"
-            )
-        value = lr_coefficient(rep, r1, r2)
-        if args.json:
-            _emit(
-                _dump({"schema": "1", "triple": args.triple, "coefficient": value}),
-                out,
-            )
-        else:
-            _emit(str(value), out)
-        return 0
-    if args.table:
-        rows = [
-            (";".join(format_partition(p) for p in label), lr_coefficient(*label))
-            for label in lr_labels(args.m, args.n)
-        ]
-        if args.json:
-            _emit(
-                _dump(
-                    {
-                        "schema": "1",
-                        "m": args.m,
-                        "n": args.n,
-                        "rows": [{"triple": t, "coefficient": v} for t, v in rows],
-                    }
-                ),
-                out,
-            )
-        else:
-            lines = ["triple,coefficient"]
-            lines += [f'"{t}",{v}' for t, v in rows]
-            _emit("\n".join(lines) + "\n", out)
-        return 0
-    summary = {
-        "schema": "1",
-        "m": args.m,
-        "n": args.n,
-        "dim_A": dim_A(args.m, args.n),
-        "necklace_count": necklace_count(args.m, args.n),
-        "nonzero_triples": len(lr_labels(args.m, args.n)),
-    }
-    if args.json:
-        _emit(_dump(summary), out)
-    else:
-        _emit(
-            f"m={args.m} n={args.n} dim_A={summary['dim_A']} "
-            f"necklace_count={summary['necklace_count']} "
-            f"nonzero_triples={summary['nonzero_triples']}",
-            out,
-        )
+        _emit(" ".join(f"{k}={v}" for k, v in summary.items()), out)
     return 0
 
 
@@ -468,22 +428,20 @@ def _roundtrip_json(result: dict) -> dict:
 
 
 def _cmd_holo_roundtrip(args, parser, out: str | None) -> int:
-    from .holographic import fermion_config, holographic_roundtrip, u_profile
-
     if args.capital_n <= args.n:
         parser.error("--capital-n must exceed --n")
     if args.r is not None:
-        rep = _partition_arg(parser, args.r)
-        if sum(rep) != args.n:
-            parser.error(f"|{args.r}| = {sum(rep)} does not match --n {args.n}")
+        rep = _diagram_arg(args, parser)
         try:
-            result = holographic_roundtrip(rep, args.capital_n, lam=args.lam, rho=args.rho)
+            result = holographic.holographic_roundtrip(
+                rep, args.capital_n, lam=args.lam, rho=args.rho
+            )
         except (ValueError, ArithmeticError) as exc:
             print(f"roundtrip failed: {exc}", file=sys.stderr)
             return 1
         if args.csv:
-            profile = u_profile(
-                fermion_config(rep, args.capital_n), args.rho, result["lam"]
+            profile = holographic.u_profile(
+                holographic.fermion_config(rep, args.capital_n), args.rho, result["lam"]
             )
             _emit(profile.samples_csv(), out)
         elif args.json:
@@ -500,7 +458,9 @@ def _cmd_holo_roundtrip(args, parser, out: str | None) -> int:
     for rep in partitions(args.n):
         try:
             results.append(
-                holographic_roundtrip(rep, args.capital_n, lam=args.lam, rho=args.rho)
+                holographic.holographic_roundtrip(
+                    rep, args.capital_n, lam=args.lam, rho=args.rho
+                )
             )
         except (ValueError, ArithmeticError) as exc:
             print(f"roundtrip failed at {format_partition(rep)}: {exc}", file=sys.stderr)
@@ -540,10 +500,8 @@ def _cmd_holo_roundtrip(args, parser, out: str | None) -> int:
     return 0 if ok else 1
 
 
-def _cmd_holo_cutoffs(args, out: str | None) -> int:
-    from .holographic import cutoff_comparison_table
-
-    rows = cutoff_comparison_table(args.n_max)
+def _cmd_holo_cutoffs(args, parser, out: str | None) -> int:
+    rows = holographic.cutoff_comparison_table(args.n_max)
     if args.json:
         _emit(_dump({"schema": "1", "rows": rows}), out)
     elif args.csv:
@@ -561,10 +519,8 @@ def _cmd_holo_cutoffs(args, out: str | None) -> int:
     return 0
 
 
-def _cmd_holo_cost(args, out: str | None) -> int:
-    from .holographic import holographic_complexity_report
-
-    report = holographic_complexity_report(args.lam, args.beta)
+def _cmd_holo_cost(args, parser, out: str | None) -> int:
+    report = holographic.holographic_complexity_report(args.lam, args.beta)
     if args.json:
         _emit(_dump({"schema": "1", **report}), out)
     else:
@@ -577,22 +533,18 @@ def _cmd_holo_cost(args, out: str | None) -> int:
     return 0
 
 
-def _cmd_report(args, out: str | None) -> int:
-    from .classical import classical_complexity_report
-    from .detection import complexity_table
-    from .holographic import cutoff_comparison_table
-
+def _cmd_report(args, parser, out: str | None) -> int:
     n_max = args.n_max
-    quantum = complexity_table(range(2, n_max + 1))
-    classical = classical_complexity_report([6, 7, 8])
-    holo = cutoff_comparison_table(min(n_max, 10))
+    quantum = detection.complexity_table(range(2, n_max + 1))
+    sampling = classical.classical_complexity_report([6, 7, 8])
+    holo = holographic.cutoff_comparison_table(min(n_max, 10))
     if args.json:
         _emit(
             _dump(
                 {
                     "schema": "1",
                     "quantum": quantum,
-                    "classical": classical,
+                    "classical": sampling,
                     "holographic_cutoffs": holo,
                 }
             ),
@@ -608,7 +560,7 @@ def _cmd_report(args, out: str | None) -> int:
         lines.append("sampling baseline (widest diagram):")
         lines += [
             f"  n={r['n']} queries={r['queries']} vs quantum {r['quantum_queries']}"
-            for r in classical
+            for r in sampling
         ]
         lines.append("profile pipeline cutoffs:")
         lines += [
@@ -623,33 +575,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    out = getattr(args, "out", None)
-    try:
-        if args.command == "chars":
-            return _cmd_chars(args, out)
-        if args.command == "kstar":
-            return _cmd_kstar(args, parser, out)
-        if args.command == "detect":
-            if args.pipeline == "zcsn":
-                return _cmd_detect_zcsn(args, parser, out)
-            if args.pipeline == "kron":
-                return _cmd_detect_kron(args, parser, out)
-            if args.pipeline == "lr":
-                return _cmd_detect_lr(args, parser, out)
-            return _cmd_detect_classical(args, parser, out)
-        if args.command == "kron":
-            return _cmd_kron(args, parser, out)
-        if args.command == "lr":
-            return _cmd_lr(args, parser, out)
-        if args.command == "holo":
-            if args.stage == "roundtrip":
-                return _cmd_holo_roundtrip(args, parser, out)
-            if args.stage == "cutoff-table":
-                return _cmd_holo_cutoffs(args, out)
-            return _cmd_holo_cost(args, out)
-        return _cmd_report(args, out)
+        return args.handler(args, parser, args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -84,51 +84,60 @@ class DetectionTranscript:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def run_family(amps, parts, size: int, rng, counters: GateCounters):
+    """Run the rounds k = 2..k_star(size) of one signature family.
+
+    System component i carries the T_k eigenvalue of parts[i], a diagram of
+    size. The post-measurement system state carries over between rounds,
+    which in the exact-phase regime leaves it untouched; there is no early
+    exit, so the counters match the closed-form sums. Each round's gates and
+    queries are added to counters. Returns (round records, measured
+    signature, collapsed system amplitudes).
+    """
+    rounds = []
+    for k in range(2, k_star(size) + 1):
+        t = t_bits(size, k)
+        bound = cycle_class_size(size, k)
+        unitary = DiagonalUnitary(
+            tuple(phase_encode(normalized_character(rep, k), bound, t) for rep in parts)
+        )
+        _, run, qstate = qpe_run(unitary, amps, t)
+        m, amps = measure_register(qstate, rng)
+        rounds.append(
+            {
+                "k": k,
+                "t": t,
+                "measured": m,
+                "eigenvalue": phase_decode(m, t),
+                "queries": run.cu_queries,
+                "gates": run.total_gates,
+            }
+        )
+        counters.hadamards += run.hadamards
+        counters.controlled_rk += run.controlled_rk
+        counters.cu_queries += run.cu_queries
+    return rounds, tuple(r["eigenvalue"] for r in rounds), amps
+
+
 def alice_detect(state: CentreState, n: int, seed: int = 0) -> DetectionTranscript:
     """Run the k = 2..k_star(n) rounds and identify the projector label.
 
-    The post-measurement system state carries over between rounds, which in
-    the exact-phase regime leaves it untouched; there is no early exit, so
-    the counters match the closed-form sums. Projector-basis components with
-    exactly zero coefficient are dropped before the first round.
+    Projector-basis components with exactly zero coefficient are dropped
+    before the first round.
 
     Raises ValueError when the measured signature is not in the table, i.e.
     the input was not a projector state.
     """
     if state.n != n:
         raise ValueError(f"state lives over S_{state.n}, asked about S_{n}")
-    cutoff = k_star(n)
     labels = [rep for rep in partitions(n) if state.coeffs.get(rep)]
-    amps = state.unit_amplitudes(labels)
     rng = np.random.default_rng(seed)
     transcript = DetectionTranscript(n=n, seed=seed)
-    sig = []
-    for k in range(2, cutoff + 1):
-        t = t_bits(n, k)
-        bound = cycle_class_size(n, k)
-        unitary = DiagonalUnitary(
-            tuple(
-                phase_encode(normalized_character(rep, k), bound, t)
-                for rep in labels
-            )
-        )
-        dist, run, qstate = qpe_run(unitary, amps, t)
-        m, amps = measure_register(qstate, rng)
-        value = phase_decode(m, t)
-        sig.append(value)
-        transcript.rounds.append(
-            {
-                "k": k,
-                "t": t,
-                "measured": m,
-                "eigenvalue": value,
-                "queries": run.cu_queries,
-                "gates": run.total_gates,
-            }
-        )
-        transcript.counters = transcript.counters.merged(run)
-    table = signature_table(n, cutoff)
-    key = tuple(sig)
+    transcript.rounds, key, _ = run_family(
+        state.unit_amplitudes(labels), labels, n, rng, transcript.counters
+    )
+    # the signature holds T_2..T_k*, so its length fixes the table's cutoff
+    table = signature_table(n, len(key) + 1)
     if key not in table:
         raise ValueError(f"not a projector state: signature {key} unknown for n={n}")
     transcript.identified_label = table[key]

@@ -19,16 +19,9 @@ import json
 
 import numpy as np
 
-from .centre import cycle_class_size, k_star, normalized_character, signature_table
-from .detection import t_bits
-from .qpe import (
-    DiagonalUnitary,
-    GateCounters,
-    measure_register,
-    phase_decode,
-    phase_encode,
-    qpe_run,
-)
+from .centre import LabelledState, k_star, signature_table
+from .detection import run_family
+from .qpe import GateCounters
 from .symgroup import (
     Partition,
     as_partition,
@@ -115,54 +108,26 @@ def kron_projector_brute(r1: Partition, r2: Partition, r3: Partition):
     )
 
 
-class TripleState:
+def _as_triple(label) -> tuple[Partition, Partition, Partition]:
+    return tuple(as_partition(p) for p in label)
+
+
+class TripleState(LabelledState):
     """Element of the tensor-square algebra over the ptilde basis."""
+
+    label_error = "{label} has zero Kronecker coefficient; no projector to carry it"
+    as_label = staticmethod(_as_triple)
 
     def __init__(self, n: int, coeffs: dict):
         self.n = n
-        valid = set(kron_labels(n))
-        clean = {}
-        for label, val in coeffs.items():
-            label = tuple(as_partition(p) for p in label)
-            if label not in valid:
-                raise ValueError(
-                    f"{label} has zero Kronecker coefficient; no projector to carry it"
-                )
-            if val != 0:
-                clean[label] = val
-        self.coeffs = clean
+        super().__init__((n,), kron_labels(n), coeffs)
 
-    def g_inner(self, other: "TripleState"):
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        acc = 0
-        for label, a in self.coeffs.items():
-            b = other.coeffs.get(label)
-            if b is None:
-                continue
-            a_c = a.conjugate() if isinstance(a, complex) else a
-            acc += a_c * b * pair_projector_norm_sq(*label)
-        return acc
-
-    def unit_amplitudes(self, order=None) -> np.ndarray:
-        if order is None:
-            order = kron_labels(self.n)
-        amps = np.array(
-            [
-                complex(self.coeffs.get(label, 0))
-                * float(pair_projector_norm_sq(*label)) ** 0.5
-                for label in order
-            ],
-            dtype=complex,
-        )
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("zero state has no amplitude vector")
-        return amps / norm
+    def norm_sq(self, label) -> Fraction:
+        return pair_projector_norm_sq(*label)
 
 
 def pair_projector_state(r1, r2, r3) -> TripleState:
-    label = tuple(as_partition(p) for p in (r1, r2, r3))
+    label = _as_triple((r1, r2, r3))
     return TripleState(sum(label[0]), {label: Fraction(1)})
 
 
@@ -173,46 +138,6 @@ def identity_pair_state(n: int) -> TripleState:
     probability d1 d2 d3 C / (n!)^2, and those weights sum to exactly 1.
     """
     return TripleState(n, {label: Fraction(1) for label in kron_labels(n)})
-
-
-def _family_rounds(amps, labels, slot, group_size, rng, counters):
-    """Run rounds k = 2..k_star(group_size) of one signature family.
-
-    The system components are the surviving labels; slot picks which entry of
-    each label supplies the T_k eigenvalue. Returns (round records, measured
-    signature, collapsed system amplitudes). The caller skips groups with
-    fewer than two diagrams since they carry no information.
-    """
-    cutoff = k_star(group_size)
-    rounds = []
-    sig = []
-    for k in range(2, cutoff + 1):
-        t = t_bits(group_size, k)
-        bound = cycle_class_size(group_size, k)
-        unitary = DiagonalUnitary(
-            tuple(
-                phase_encode(normalized_character(label[slot], k), bound, t)
-                for label in labels
-            )
-        )
-        dist, run, state = qpe_run(unitary, amps, t)
-        m, amps = measure_register(state, rng)
-        value = phase_decode(m, t)
-        sig.append(value)
-        rounds.append(
-            {
-                "k": k,
-                "t": t,
-                "measured": m,
-                "eigenvalue": value,
-                "queries": run.cu_queries,
-                "gates": run.total_gates,
-            }
-        )
-        counters.hadamards += run.hadamards
-        counters.controlled_rk += run.controlled_rk
-        counters.cu_queries += run.cu_queries
-    return rounds, tuple(sig), amps
 
 
 @dataclass
@@ -250,13 +175,13 @@ def kron_detect(state: TripleState, seed: int = 0) -> MultiFamilyTranscript:
     n = state.n
     labels = [label for label in kron_labels(n) if state.coeffs.get(label)]
     rng = np.random.default_rng(seed)
-    counters = GateCounters()
     transcript = MultiFamilyTranscript(sizes=(n, n, n), seed=seed)
     amps = state.unit_amplitudes(labels)
     detected = []
     table = signature_table(n, k_star(n))
     for slot, name in enumerate(("left", "right", "diag")):
-        rounds, sig, amps = _family_rounds(amps, labels, slot, n, rng, counters)
+        parts = [label[slot] for label in labels]
+        rounds, sig, amps = run_family(amps, parts, n, rng, transcript.counters)
         transcript.families.append(
             {"family": name, "rounds": rounds, "signature": list(sig)}
         )
@@ -264,7 +189,6 @@ def kron_detect(state: TripleState, seed: int = 0) -> MultiFamilyTranscript:
             raise ValueError(f"not a Kronecker projector: {name} signature {sig}")
         detected.append(table[sig])
     transcript.detected = tuple(detected)
-    transcript.counters = counters
     if transcript.detected not in set(kron_labels(n)):
         raise ValueError(f"detected triple {transcript.detected} is not a valid label")
     return transcript
@@ -416,53 +340,24 @@ def lr_projector_brute(rep, r1, r2):
     )
 
 
-class LrState:
+class LrState(LabelledState):
     """Element of the restriction algebra over its idempotent basis."""
+
+    label_error = "{label} has zero restriction coefficient"
+    size_error = "mismatched sizes"
+    as_label = staticmethod(_as_triple)
 
     def __init__(self, m: int, n: int, coeffs: dict):
         self.m = m
         self.n = n
-        valid = set(lr_labels(m, n))
-        clean = {}
-        for label, val in coeffs.items():
-            label = tuple(as_partition(p) for p in label)
-            if label not in valid:
-                raise ValueError(f"{label} has zero restriction coefficient")
-            if val != 0:
-                clean[label] = val
-        self.coeffs = clean
+        super().__init__((m, n), lr_labels(m, n), coeffs)
 
-    def g_inner(self, other: "LrState"):
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("mismatched sizes")
-        acc = 0
-        for label, a in self.coeffs.items():
-            b = other.coeffs.get(label)
-            if b is None:
-                continue
-            a_c = a.conjugate() if isinstance(a, complex) else a
-            acc += a_c * b * lr_projector_norm_sq(*label)
-        return acc
-
-    def unit_amplitudes(self, order=None) -> np.ndarray:
-        if order is None:
-            order = lr_labels(self.m, self.n)
-        amps = np.array(
-            [
-                complex(self.coeffs.get(label, 0))
-                * float(lr_projector_norm_sq(*label)) ** 0.5
-                for label in order
-            ],
-            dtype=complex,
-        )
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("zero state has no amplitude vector")
-        return amps / norm
+    def norm_sq(self, label) -> Fraction:
+        return lr_projector_norm_sq(*label)
 
 
 def lr_projector_state(rep, r1, r2) -> LrState:
-    label = tuple(as_partition(p) for p in (rep, r1, r2))
+    label = _as_triple((rep, r1, r2))
     return LrState(sum(label[1]), sum(label[2]), {label: Fraction(1)})
 
 
@@ -482,7 +377,6 @@ def lr_detect(state: LrState, seed: int = 0) -> MultiFamilyTranscript:
     m, n = state.m, state.n
     labels = [label for label in lr_labels(m, n) if state.coeffs.get(label)]
     rng = np.random.default_rng(seed)
-    counters = GateCounters()
     transcript = MultiFamilyTranscript(sizes=(m + n, m, n), seed=seed)
     amps = state.unit_amplitudes(labels)
     detected: list[Partition | None] = [None, None, None]
@@ -493,7 +387,8 @@ def lr_detect(state: LrState, seed: int = 0) -> MultiFamilyTranscript:
                 {"family": name, "rounds": [], "signature": [], "skipped": True}
             )
             continue
-        rounds, sig, amps = _family_rounds(amps, labels, slot, size, rng, counters)
+        parts = [label[slot] for label in labels]
+        rounds, sig, amps = run_family(amps, parts, size, rng, transcript.counters)
         transcript.families.append(
             {"family": name, "rounds": rounds, "signature": list(sig)}
         )
@@ -502,7 +397,6 @@ def lr_detect(state: LrState, seed: int = 0) -> MultiFamilyTranscript:
             raise ValueError(f"not an LR projector: {name} signature {sig}")
         detected[slot] = table[sig]
     transcript.detected = tuple(detected)
-    transcript.counters = counters
     if transcript.detected not in set(lr_labels(m, n)):
         raise ValueError(f"detected triple {transcript.detected} is not a valid label")
     return transcript

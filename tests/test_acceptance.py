@@ -163,7 +163,6 @@ def test_criterion_05_regular_representation_lemmas():
 def test_criterion_06_randomized_baseline():
     from projdetect.classical import (
         classical_complexity_report,
-        epsilon_star,
         epsilon_star_sq,
         estimate_eigenvalue,
         resolving_epsilon_sq,
@@ -192,8 +191,10 @@ def test_criterion_06_randomized_baseline():
     # What epsilon_star carries: l2_inner_product misses <X, Y> by at most
     # epsilon_star |X||Y| = 1 with probability >= 1 - delta, at the
     # documented budget of r = 6 ceil(ln 1/delta) means of s = ceil(9/eps^2)
-    # samples and 2rs + 2 queries. s is sized from the float epsilon handed
-    # to the estimator, as sample_budget does.
+    # samples and 2rs + 2 queries. s is worked out exactly from eps*^2: where
+    # 9/eps*^2 is an integer, the square of a float epsilon can land below it
+    # and add a sample. At (3,2,1), k = 2, eps*^2 = 2 * 4!/16^2 = 3/16, so
+    # 9/eps*^2 = 48 exactly and s = 48, where the float route gave 49.
     n_fact = factorial(n)
     means = 6 * ceil(log(1 / 0.05))
     ok = True
@@ -211,11 +212,10 @@ def test_criterion_06_randomized_baseline():
             inner = x_norm_sq * eigenvalue
             eps_sq = epsilon_star_sq(rep, k)
             allowed_sq = eps_sq * x_norm_sq * size
-            eps = epsilon_star(rep, k)
-            queries = 2 * means * ceil(9 / (eps * eps)) + 2
+            queries = 2 * means * ceil(Fraction(9) / eps_sq) + 2
             hits = 0
             for s in range(100):
-                sample = estimate_eigenvalue(rep, k, seed=s, epsilon=eps).sample
+                sample = estimate_eigenvalue(rep, k, seed=s, epsilon_sq=eps_sq).sample
                 hits += (sample.value - inner) ** 2 <= allowed_sq
                 ok = ok and sample.queries == queries
             worst_hits = min(worst_hits, hits)

@@ -131,11 +131,23 @@ def test_estimate_eigenvalue_resolving_scale():
 
 def test_estimate_eigenvalue_at_epsilon_star_frozen_run():
     """The wide-diagram run at the loose scale, frozen: silently lands on 0."""
-    est = estimate_eigenvalue((6,), 2, seed=0, epsilon=epsilon_star((6,), 2))
+    est = estimate_eigenvalue((6,), 2, seed=0, epsilon_sq=epsilon_star_sq((6,), 2))
     assert est.value == 0
     assert est.flagged is False
     assert est.sample.queries == 38
     assert est.epsilon_star == pytest.approx(epsilon_star((6,), 2))
+
+
+def test_estimate_eigenvalue_sizes_samples_exactly():
+    """s = ceil(9/eps*^2) exactly: at (3,2,1), eps*^2 is 3/16 (k = 2) and
+    9/128 (k = 3), so s = 48 and 128, and queries = 2 * 18 * s + 2."""
+    queries = {
+        k: estimate_eigenvalue(
+            (3, 2, 1), k, epsilon_sq=epsilon_star_sq((3, 2, 1), k)
+        ).sample.queries
+        for k in (2, 3)
+    }
+    assert queries == {2: 1730, 3: 4610}
 
 
 def test_epsilon_star_values():

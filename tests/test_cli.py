@@ -81,6 +81,31 @@ def test_unknown_subcommand_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "chars --n -1",
+        "kron --n -1",
+        "lr --m -1 --n 2",
+        "holo roundtrip --n -1 --capital-n 3",
+        "holo cost --lambda 0 --beta 0",
+        "holo cost --lambda 8 --beta -1",
+        "detect classical --n 1 --r 1",
+        "detect classical --n 4 --r 2,2 --delta 0",
+        "detect classical --n 4 --r 2,2 --delta 1.5",
+        "detect zcsn --n 1 --r 1",
+        "detect kron --n 1 --triple 1;1;1",
+    ],
+    ids=lambda argv: argv.replace(" ", "_"),
+)
+def test_out_of_range_flag_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "usage:" in err
+
+
 def test_detect_failure_exit_one(capsys):
     code, _, err = invoke(
         capsys, "detect", "kron", "--n", "3", "--triple", "3;3;2,1"

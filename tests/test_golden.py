@@ -20,9 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from projdetect.centre import CentreState
 from projdetect.cli import SEED_ENV, run
 from projdetect.detection import alice_detect
-from projdetect.centre import CentreState
 from projdetect.kron_lr import identity_lr_state, identity_pair_state, kron_detect, lr_detect
 from projdetect.symgroup import partitions
 
@@ -109,7 +109,7 @@ def test_readme_commands_are_golden(golden):
         assert recorded.get(tuple(argv)) == 0, f"README command not golden with exit 0: {argv}"
 
 
-@pytest.mark.parametrize("argv", golden_argv(), ids=" ".join)
+@pytest.mark.parametrize("argv", golden_argv(), ids="_".join)
 def test_cli_golden(golden, monkeypatch, argv):
     monkeypatch.delenv(SEED_ENV, raising=False)
     recorded = {tuple(a): [code, stdout] for a, code, stdout in golden["cli"]}
