@@ -63,7 +63,6 @@ from .kron_lr import (
     TripleState,
     dim_A,
     dim_K,
-    identity_expansion_sample,
     identity_lr_state,
     identity_pair_state,
     kron_detect,
@@ -92,7 +91,6 @@ from .classical import (
     dmax_bounds,
     epsilon_star,
     estimate_eigenvalue,
-    find_nonzero_entry,
     l2_inner_product,
     preg_entry,
     q_star,

@@ -16,7 +16,6 @@ import io
 from .symgroup import (
     Partition,
     as_partition,
-    centralizer_order,
     character,
     class_size,
     dimension,

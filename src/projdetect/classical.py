@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, factorial, floor, log
 from statistics import median
-import json
 
 import numpy as np
 
@@ -74,9 +73,10 @@ def tk_row_entry(sigma, tau, k: int) -> int:
 class ProjectorColumnOracle:
     """l2-sampling access to the column X_gamma = (d_R/n!) chi^R(gamma).
 
-    This is the mu = identity column of the projector matrix. The query
-    counter charges every entry read, every norm read, and every sampled
-    index, matching the element-level oracle model even though sampling is
+    This is the mu = identity column of the projector matrix. Entries are
+    read by cycle type (entry_by_key), charged once per group element that
+    the element-level oracle model would read; the query counter also charges
+    every norm read and every sampled index, even though sampling is
     simulated class-wise. Sampling returns the drawn key along with access to
     its value, so a draw is one query and the ratio evaluation needs no
     second read.
@@ -97,12 +97,6 @@ class ProjectorColumnOracle:
 
     def _entry(self, mu: Partition) -> Fraction:
         return Fraction(self.dim * self._chi[mu], factorial(self.n))
-
-    def entry(self, perm) -> Fraction:
-        from .groupalgebra import cycle_type
-
-        self.queries += 1
-        return self._entry(cycle_type(tuple(perm)))
 
     def entry_by_key(self, mu: Partition, charge: int = 1) -> Fraction:
         self.queries += charge
@@ -140,12 +134,6 @@ class CycleClassRowOracle:
     def _entry(self, mu: Partition) -> int:
         return int(mu == self.cycle_type)
 
-    def entry(self, perm) -> int:
-        from .groupalgebra import cycle_type
-
-        self.queries += 1
-        return self._entry(cycle_type(tuple(perm)))
-
     def entry_by_key(self, mu: Partition, charge: int = 1) -> int:
         self.queries += charge
         return self._entry(as_partition(mu))
@@ -173,10 +161,6 @@ class VectorOracle:
     def _entry(self, i: int) -> float:
         return float(self.vector[i])
 
-    def entry(self, i: int) -> float:
-        self.queries += 1
-        return self._entry(i)
-
     def entry_by_key(self, i: int, charge: int = 1) -> float:
         self.queries += charge
         return self._entry(i)
@@ -203,41 +187,25 @@ class SampleEstimate:
     means: int
     samples_per_mean: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": float(self.value),
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "queries": self.queries,
-            "means": self.means,
-            "samples_per_mean": self.samples_per_mean,
-        }
 
-
-def sample_budget(epsilon=None, delta: float = 0.05, epsilon_sq=None) -> tuple[int, int]:
+def sample_budget(epsilon_sq, delta: float = 0.05) -> tuple[int, int]:
     """(means r, samples per mean s) = (6 ceil(ln(1/delta)), ceil(9/epsilon^2)).
 
-    epsilon_sq, when given, sizes s exactly (the resolving epsilon is an
-    irrational square root, but its square is rational).
+    epsilon_sq is the exact square of the accuracy scale (the resolving
+    epsilon is an irrational square root, but its square is rational), so s
+    carries no rounding error.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if epsilon_sq is None:
-        if epsilon is None:
-            raise ValueError("need epsilon or epsilon_sq")
-        epsilon_sq = epsilon * epsilon
     if epsilon_sq <= 0:
         raise ValueError("epsilon must be positive")
     r = MEANS_FACTOR * ceil(log(1 / delta))
-    if isinstance(epsilon_sq, (Fraction, int)):
-        s = ceil(Fraction(SAMPLES_NUMERATOR) / epsilon_sq)
-    else:
-        s = ceil(SAMPLES_NUMERATOR / epsilon_sq)
+    s = ceil(SAMPLES_NUMERATOR / Fraction(epsilon_sq))
     return r, s
 
 
 def l2_inner_product(
-    x_oracle, y_oracle, epsilon=None, delta: float = 0.05, seed: int = 0, rng=None, epsilon_sq=None
+    x_oracle, y_oracle, epsilon_sq, delta: float = 0.05, seed: int = 0, rng=None
 ) -> SampleEstimate:
     """Median-of-means estimate of <X, Y> from l2-samples of X.
 
@@ -250,7 +218,7 @@ def l2_inner_product(
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    r, s = sample_budget(epsilon, delta, epsilon_sq)
+    r, s = sample_budget(epsilon_sq, delta)
     x_norm_sq = x_oracle.norm_sq()
     if x_norm_sq == 0:
         raise ValueError("cannot l2-sample a zero vector")
@@ -266,11 +234,9 @@ def l2_inner_product(
         means.append(acc / s)
     est = median(means)
     queries = 2 * r * s + 2
-    if epsilon is None:
-        epsilon = float(epsilon_sq) ** 0.5
     return SampleEstimate(
         value=est,
-        epsilon=float(epsilon),
+        epsilon=float(epsilon_sq) ** 0.5,
         delta=delta,
         queries=queries,
         means=r,
@@ -319,18 +285,6 @@ class EigenvalueEstimate:
     flagged: bool
     sample: SampleEstimate
 
-    def to_dict(self) -> dict:
-        return {
-            "rep": ",".join(map(str, self.rep)),
-            "k": self.k,
-            "value": self.value,
-            "raw": float(self.raw),
-            "epsilon": self.epsilon,
-            "epsilon_star": self.epsilon_star,
-            "flagged": self.flagged,
-            "queries": self.sample.queries,
-        }
-
 
 def estimate_eigenvalue(
     rep: Partition,
@@ -362,7 +316,7 @@ def estimate_eigenvalue(
         epsilon_sq = resolving_epsilon_sq(rep, k)
     x = ProjectorColumnOracle(rep)
     y = CycleClassRowOracle(n, k)
-    sample = l2_inner_product(x, y, delta=delta, rng=rng, epsilon_sq=epsilon_sq)
+    sample = l2_inner_product(x, y, epsilon_sq, delta=delta, rng=rng)
     ratio = sample.value / x._norm_sq
     value = _round_half_up(ratio)
     column = {normalized_character(r, k) for r in partitions(n)}
@@ -413,9 +367,6 @@ class ClassicalTranscript:
             "queries": self.queries,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def classical_detect(rep: Partition, delta: float = 0.05, seed: int = 0) -> ClassicalTranscript:
     """Estimate the signature (T_2..T_k*) by sampling and look it up.
@@ -452,20 +403,6 @@ def classical_detect(rep: Partition, delta: float = 0.05, seed: int = 0) -> Clas
     return transcript
 
 
-def find_nonzero_entry(oracle) -> tuple:
-    """A pair (gamma, mu) where the projector matrix is provably nonzero.
-
-    The diagonal always works: the (e, e) entry is d_R^2/n! > 0, so this is a
-    deterministic decision charged as a single query. Accepts a diagram or an
-    already-built column oracle.
-    """
-    if not isinstance(oracle, ProjectorColumnOracle):
-        oracle = ProjectorColumnOracle(oracle)
-    oracle.queries += 1
-    e = tuple(range(oracle.n))
-    return e, e
-
-
 def dmax_bounds(n: int) -> tuple[float, float, int]:
     """(lower, upper, actual) bracket for the largest irrep dimension.
 
@@ -487,7 +424,7 @@ def dmax_bounds(n: int) -> tuple[float, float, int]:
 
 def deterministic_queries(rep: Partition, k: int, delta: float = 0.05) -> int:
     """Query count of estimate_eigenvalue at the resolving scale, no sampling."""
-    r, s = sample_budget(delta=delta, epsilon_sq=resolving_epsilon_sq(rep, k))
+    r, s = sample_budget(resolving_epsilon_sq(rep, k), delta)
     return 2 * r * s + 2
 
 

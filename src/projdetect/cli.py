@@ -9,7 +9,8 @@ are written comma-joined ("3,2,1"), triples semicolon-joined
 ("3,1;2,2;2,1,1"). Exit codes: 0 success, 1 detection failure, 2 usage error.
 
 The default seed is 0; the environment variable PROJDETECT_SEED overrides it
-when --seed is not given explicitly.
+when --seed is not given explicitly, and a non-integer value of it is a usage
+error.
 """
 
 from __future__ import annotations
@@ -100,17 +101,18 @@ _COUNT = _checked(int, lambda v: v >= 0, "at least 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "at least 1")
 _GROUP_SIZE = _checked(int, lambda v: v >= 2, "at least 2")
 _NONNEGATIVE = _checked(float, lambda v: v >= 0, "at least 0")
+_POSITIVE_REAL = _checked(float, lambda v: 0 < v < float("inf"), "finite and above 0")
 _PROBABILITY = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, parser: argparse.ArgumentParser) -> int:
     if args.seed is not None:
         return args.seed
     raw = os.environ.get(SEED_ENV, "0")
     try:
         return int(raw)
     except ValueError:
-        return 0
+        parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _finish_leaf(p, _cmd_chars)
 
     p = sub.add_parser("kstar", help="signature cutoffs k*(n)")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_GROUP_SIZE, required=True)
     p.add_argument(
         "--signatures-for",
         type=_GROUP_SIZE,
@@ -198,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--n", type=_POSITIVE, required=True)
     h.add_argument("--capital-n", type=int, required=True)
     h.add_argument("--lambda", dest="lam", type=_COUNT, default=None)
-    h.add_argument("--rho", type=float, default=1.0)
+    h.add_argument("--rho", type=_POSITIVE_REAL, default=1.0)
     h.add_argument("--r", default=None, help="run a single diagram")
     _finish_leaf(h, _cmd_holo_roundtrip)
 
     h = hsub.add_parser("cutoff-table", help="moment cutoff next to k*")
-    h.add_argument("--n-max", type=int, required=True)
+    h.add_argument("--n-max", type=_GROUP_SIZE, required=True)
     _finish_leaf(h, _cmd_holo_cutoffs)
 
     h = hsub.add_parser("cost", help="operation counts for one cutoff")
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     _finish_leaf(h, _cmd_holo_cost, csv_too=False)
 
     p = sub.add_parser("report", help="complexity summary across pipelines")
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_GROUP_SIZE, default=12)
     _finish_leaf(p, _cmd_report, csv_too=False)
 
     return parser
@@ -302,7 +304,7 @@ def _cmd_detect(args, parser, out: str | None) -> int:
     label_arg, detect, describe = _PIPELINES[args.pipeline]
     label = label_arg(args, parser)
     try:
-        transcript = detect(label, _resolve_seed(args))
+        transcript = detect(label, _resolve_seed(args, parser))
     except ValueError as exc:
         print(f"detection failed: {exc}", file=sys.stderr)
         return 1
@@ -317,7 +319,7 @@ def _cmd_detect(args, parser, out: str | None) -> int:
 
 def _cmd_detect_classical(args, parser, out: str | None) -> int:
     rep = _diagram_arg(args, parser)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     failures = 0
     first = None
     total_queries = 0

@@ -49,10 +49,6 @@ class FermionConfig:
         if any(v < 0 for v in e) or any(a >= b for a, b in zip(e, e[1:])):
             raise ValueError(f"energies must strictly increase from 0 or above: {e}")
 
-    @property
-    def count(self) -> int:
-        return len(self.energies)
-
 
 def fermion_config(rep: Partition, capital_n: int) -> FermionConfig:
     """Energies f_i = R_{N+1-i} + i - 1 with the diagram padded by zero rows."""
@@ -577,7 +573,3 @@ def holographic_complexity_report(lam: int, beta: float) -> dict:
         "case": case,
         "dominant": dominant,
     }
-
-
-def complexity_table(lams, beta: float) -> list[dict]:
-    return [holographic_complexity_report(lam, beta) for lam in lams]

@@ -163,45 +163,52 @@ class MultiFamilyTranscript:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _detect_slots(state, families, what: str, seed: int) -> MultiFamilyTranscript:
+    """Resolve a labelled triple one tensor slot at a time.
+
+    families lists (name, size) per slot: slot i of every label is a diagram
+    of that size, and its family runs the rounds k = 2..k_star(size) on the
+    system state the earlier families left behind. A slot whose group has
+    fewer than two diagrams is resolved for free and runs no circuit. Labels
+    with exactly zero coefficient are dropped up front, so a projector state
+    runs on a one-dimensional system.
+    """
+    labels = [label for label in state.labels if state.coeffs.get(label)]
+    rng = np.random.default_rng(seed)
+    transcript = MultiFamilyTranscript(sizes=tuple(s for _, s in families), seed=seed)
+    amps = state.unit_amplitudes(labels)
+    detected = []
+    for slot, (name, size) in enumerate(families):
+        if len(partitions(size)) < 2:
+            detected.append(partitions(size)[0])
+            transcript.families.append(
+                {"family": name, "rounds": [], "signature": [], "skipped": True}
+            )
+            continue
+        parts = [label[slot] for label in labels]
+        rounds, sig, amps = run_family(amps, parts, size, rng, transcript.counters)
+        transcript.families.append(
+            {"family": name, "rounds": rounds, "signature": list(sig)}
+        )
+        table = signature_table(size, k_star(size))
+        if sig not in table:
+            raise ValueError(f"not {what} projector: {name} signature {sig}")
+        detected.append(table[sig])
+    transcript.detected = tuple(detected)
+    if transcript.detected not in set(state.labels):
+        raise ValueError(f"detected triple {transcript.detected} is not a valid label")
+    return transcript
+
+
 def kron_detect(state: TripleState, seed: int = 0) -> MultiFamilyTranscript:
     """Identify a ptilde component with three signature families.
 
     Family "left" estimates T_k x 1 (eigenvalue from R1), "right" estimates
     1 x T_k (from R2), "diag" estimates Delta(T_k) (from R3); each family runs
     k = 2..k_star(n) and the three signatures are resolved independently.
-    Labels with exactly zero coefficient are dropped up front so a projector
-    state runs on a one-dimensional system.
     """
-    n = state.n
-    labels = [label for label in kron_labels(n) if state.coeffs.get(label)]
-    rng = np.random.default_rng(seed)
-    transcript = MultiFamilyTranscript(sizes=(n, n, n), seed=seed)
-    amps = state.unit_amplitudes(labels)
-    detected = []
-    table = signature_table(n, k_star(n))
-    for slot, name in enumerate(("left", "right", "diag")):
-        parts = [label[slot] for label in labels]
-        rounds, sig, amps = run_family(amps, parts, n, rng, transcript.counters)
-        transcript.families.append(
-            {"family": name, "rounds": rounds, "signature": list(sig)}
-        )
-        if sig not in table:
-            raise ValueError(f"not a Kronecker projector: {name} signature {sig}")
-        detected.append(table[sig])
-    transcript.detected = tuple(detected)
-    if transcript.detected not in set(kron_labels(n)):
-        raise ValueError(f"detected triple {transcript.detected} is not a valid label")
-    return transcript
-
-
-def identity_expansion_sample(n: int, seed: int = 0):
-    """Expand 1 x 1 over the ptilde basis and sample one triple from it.
-
-    The expansion coefficients are all one, so phase estimation collapses the
-    superposition onto a triple with the Plancherel-style weight
-    d1 d2 d3 C / (n!)^2; every returned triple has a nonzero coefficient.
-    """
-    return kron_detect(identity_pair_state(n), seed=seed).detected
+    families = [("left", state.n), ("right", state.n), ("diag", state.n)]
+    return _detect_slots(state, families, "a Kronecker", seed)
 
 
 def lr_coefficient(rep: Partition, r1: Partition, r2: Partition) -> int:
@@ -371,32 +378,6 @@ def lr_detect(state: LrState, seed: int = 0) -> MultiFamilyTranscript:
 
     Family "whole" estimates T_k of S_{m+n} (eigenvalue from R), "left" the
     embedded T_k of S_m (from R1), "right" the embedded T_k of S_n (from R2).
-    A slot whose group has fewer than two diagrams is resolved for free and
-    runs no circuit. Zero-coefficient labels are dropped up front.
     """
-    m, n = state.m, state.n
-    labels = [label for label in lr_labels(m, n) if state.coeffs.get(label)]
-    rng = np.random.default_rng(seed)
-    transcript = MultiFamilyTranscript(sizes=(m + n, m, n), seed=seed)
-    amps = state.unit_amplitudes(labels)
-    detected: list[Partition | None] = [None, None, None]
-    for slot, (name, size) in enumerate((("whole", m + n), ("left", m), ("right", n))):
-        if len(partitions(size)) < 2:
-            detected[slot] = partitions(size)[0]
-            transcript.families.append(
-                {"family": name, "rounds": [], "signature": [], "skipped": True}
-            )
-            continue
-        parts = [label[slot] for label in labels]
-        rounds, sig, amps = run_family(amps, parts, size, rng, transcript.counters)
-        transcript.families.append(
-            {"family": name, "rounds": rounds, "signature": list(sig)}
-        )
-        table = signature_table(size, k_star(size))
-        if sig not in table:
-            raise ValueError(f"not an LR projector: {name} signature {sig}")
-        detected[slot] = table[sig]
-    transcript.detected = tuple(detected)
-    if transcript.detected not in set(lr_labels(m, n)):
-        raise ValueError(f"detected triple {transcript.detected} is not a valid label")
-    return transcript
+    families = [("whole", state.m + state.n), ("left", state.m), ("right", state.n)]
+    return _detect_slots(state, families, "an LR", seed)

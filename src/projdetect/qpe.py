@@ -2,15 +2,14 @@
 
 The register holds t qubits, the system is a D-dimensional space on which the
 unitary acts diagonally.  Gates are applied literally (no closed-form
-shortcut) so the query and gate counters are meaningful; closed forms live in
-the tests as oracles.
+shortcut) so the query and gate counters are meaningful; the closed forms
+offgrid_amplitude and phase_tail_bound are kept only as the tests' referees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
 
 import numpy as np
 
@@ -49,13 +48,6 @@ class GateCounters:
     def total_gates(self) -> int:
         # controlled-U applications are tracked separately as queries
         return self.hadamards + self.controlled_rk
-
-    def merged(self, other: "GateCounters") -> "GateCounters":
-        return GateCounters(
-            hadamards=self.hadamards + other.hadamards,
-            controlled_rk=self.controlled_rk + other.controlled_rk,
-            cu_queries=self.cu_queries + other.cu_queries,
-        )
 
 
 class QpeState:
@@ -216,32 +208,3 @@ def offgrid_amplitude(zeta: float, m: int, t: int) -> complex:
     if abs(den) < 1e-300:
         return complex(1.0)
     return complex(num / den / size)
-
-
-def shots_json(unitary: DiagonalUnitary, system_state, t: int, shots: int, seed: int = 0) -> str:
-    """Measurement statistics of one circuit as a stable JSON string.
-
-    The circuit runs once (counters are per-circuit, not per-shot) and the
-    register distribution is then sampled `shots` times.
-    """
-    import json
-
-    dist, counters, _ = qpe_run(unitary, system_state, t)
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(dist.size, size=shots, p=dist / dist.sum())
-    counts: dict[int, int] = {}
-    for value in draws:
-        counts[int(value)] = counts.get(int(value), 0) + 1
-    return json.dumps(
-        {
-            "schema": "1",
-            "t": t,
-            "outcomes": [
-                {"value": v, "count": counts[v]} for v in sorted(counts)
-            ],
-            "cu_queries": counters.cu_queries,
-            "total_gates": counters.total_gates,
-            "seed": seed,
-        },
-        sort_keys=True,
-    )

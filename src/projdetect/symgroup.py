@@ -215,21 +215,12 @@ class CharacterTable:
             raise ValueError("n must be nonnegative")
         self.n = n
         self.labels = partitions(n)
-        self.class_sizes = {mu: class_size(mu) for mu in self.labels}
         self.entries = {
             (r, mu): character(r, mu) for r in self.labels for mu in self.labels
         }
 
     def chi(self, rep: Partition, mu: Partition) -> int:
         return self.entries[(as_partition(rep), as_partition(mu))]
-
-    def row(self, rep: Partition) -> tuple[int, ...]:
-        rep = as_partition(rep)
-        return tuple(self.entries[(rep, mu)] for mu in self.labels)
-
-    def dimensions(self) -> dict[Partition, int]:
-        identity = (1,) * self.n if self.n else ()
-        return {r: self.entries[(r, identity)] for r in self.labels}
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -19,7 +19,6 @@ from projdetect.classical import (
     epsilon_star,
     epsilon_star_sq,
     estimate_eigenvalue,
-    find_nonzero_entry,
     l2_inner_product,
     preg_entry,
     q_star,
@@ -79,22 +78,20 @@ def test_oracle_norms_and_counters():
 
 
 def test_sample_budget_contract():
-    r, s = sample_budget(epsilon=0.5, delta=0.05)
+    r, s = sample_budget(epsilon_sq=Fraction(1, 4), delta=0.05)
     assert r == 6 * ceil(log(1 / 0.05))
     assert r == 18
     assert s == ceil(9 / 0.25)
-    r2, s2 = sample_budget(delta=0.05, epsilon_sq=Fraction(1, 4))
-    assert (r2, s2) == (r, s)
 
 
 def test_inner_product_exact_cases():
     """Self inner product has a constant estimator; disjoint support gives 0."""
     x = VectorOracle([3.0, 4.0])
-    est = l2_inner_product(x, x, epsilon=0.5, seed=1)
+    est = l2_inner_product(x, x, epsilon_sq=Fraction(1, 4), seed=1)
     assert est.value == pytest.approx(25.0, abs=1e-12)
     y = VectorOracle([0.0, 0.0, 5.0])
     x3 = VectorOracle([2.0, 1.0, 0.0])
-    est0 = l2_inner_product(x3, y, epsilon=0.5, seed=2)
+    est0 = l2_inner_product(x3, y, epsilon_sq=Fraction(1, 4), seed=2)
     assert est0.value == 0
     assert est0.queries == 2 * est0.means * est0.samples_per_mean + 2
 
@@ -110,7 +107,11 @@ def test_inner_product_concentration_64dim():
     failures = 0
     for seed in range(1000):
         est = l2_inner_product(
-            VectorOracle(xv), VectorOracle(yv), epsilon=eps, delta=delta, seed=seed
+            VectorOracle(xv),
+            VectorOracle(yv),
+            epsilon_sq=Fraction(1, 16),
+            delta=delta,
+            seed=seed,
         )
         if abs(est.value - truth) > bound:
             failures += 1
@@ -218,12 +219,6 @@ def test_dmax_bounds():
     assert dmax_bounds(6)[2] == 16
     with pytest.raises(ValueError):
         dmax_bounds(2)
-
-
-def test_find_nonzero_entry():
-    value, norm_contrib = find_nonzero_entry(ProjectorColumnOracle((4, 2)))
-    assert value != 0
-    assert value == norm_contrib
 
 
 def test_charge_accounting():

@@ -95,6 +95,12 @@ def test_unknown_subcommand_usage_error(capsys):
         "detect classical --n 4 --r 2,2 --delta 1.5",
         "detect zcsn --n 1 --r 1",
         "detect kron --n 1 --triple 1;1;1",
+        "holo roundtrip --n 3 --capital-n 4 --rho 0",
+        "holo roundtrip --n 3 --capital-n 4 --rho -1",
+        "holo roundtrip --n 3 --capital-n 4 --rho inf",
+        "kstar --n-max 1",
+        "holo cutoff-table --n-max 0",
+        "report --n-max -1",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -120,8 +126,9 @@ def test_env_seed_override(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["seed"] == 7
     monkeypatch.setenv("PROJDETECT_SEED", "junk")
-    code, out, _ = invoke(capsys, "detect", "zcsn", "--n", "6", "--r", "3,3", "--json")
-    assert json.loads(out)["seed"] == 0
+    code, out, err = invoke(capsys, "detect", "zcsn", "--n", "6", "--r", "3,3", "--json")
+    assert (code, out) == (2, "")
+    assert "PROJDETECT_SEED" in err and "Traceback" not in err
 
 
 def test_explicit_seed_beats_env(capsys, monkeypatch):

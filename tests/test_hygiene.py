@@ -1,0 +1,43 @@
+"""Source hygiene that a linter would check: no module imports a name it never uses.
+
+`__init__.py` is left out because its imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import projdetect
+
+MODULES = sorted(
+    path
+    for path in Path(projdetect.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement that no other expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_detector_catches_an_unused_import():
+    source = "from math import ceil, log2\nimport json\nprint(ceil(1.5))\n"
+    assert unused_imports(source) == ["line 1: log2", "line 2: json"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

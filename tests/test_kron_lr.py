@@ -11,7 +11,6 @@ from projdetect.kron_lr import (
     TripleState,
     dim_A,
     dim_K,
-    identity_expansion_sample,
     identity_lr_state,
     identity_pair_state,
     kron_detect,
@@ -204,10 +203,11 @@ def test_identity_pair_state_weights():
 
 def test_identity_expansion_sampling():
     for seed in range(12):
-        assert identity_expansion_sample(2, seed=seed) in set(kron_labels(2))
+        detected = kron_detect(identity_pair_state(2), seed=seed).detected
+        assert detected in set(kron_labels(2))
     seen = set()
     for seed in range(400):
-        seen.add(identity_expansion_sample(3, seed=seed))
+        seen.add(kron_detect(identity_pair_state(3), seed=seed).detected)
     assert seen == set(kron_labels(3))
 
 

@@ -1,6 +1,5 @@
 """Statevector phase estimation: exactness, counters, tails."""
 
-import json
 from fractions import Fraction
 from math import sqrt
 
@@ -19,7 +18,6 @@ from projdetect.qpe import (
     phase_tail_bound,
     qft,
     qpe_run,
-    shots_json,
 )
 
 
@@ -63,15 +61,6 @@ def test_counter_closed_forms():
         assert counters.hadamards == 2 * t
         assert counters.controlled_rk == t * (t - 1) // 2
         assert counters.total_gates == 2 * t + t * (t - 1) // 2
-
-
-def test_counters_merge():
-    from projdetect.qpe import GateCounters
-
-    a = GateCounters(hadamards=2, controlled_rk=1, cu_queries=3)
-    b = GateCounters(hadamards=5, controlled_rk=7, cu_queries=11)
-    merged = a.merged(b)
-    assert (merged.hadamards, merged.controlled_rk, merged.cu_queries) == (7, 8, 14)
 
 
 def test_on_grid_phase_is_read_exactly():
@@ -143,23 +132,6 @@ def test_empirical_tail_under_bound_single_case():
     err = np.minimum((shots - b) % size, (b - shots) % size)
     fail = float(np.mean(err > e))
     assert fail < float(phase_tail_bound(t, p))
-
-
-def test_shots_json_contract():
-    unitary = DiagonalUnitary((Fraction(1, 4), Fraction(3, 4)))
-    amp = [sqrt(0.5), sqrt(0.5)]
-    blob = shots_json(unitary, amp, 2, 50, seed=1)
-    again = shots_json(unitary, amp, 2, 50, seed=1)
-    assert blob == again
-    data = json.loads(blob)
-    assert data["schema"] == "1"
-    assert data["t"] == 2
-    assert data["cu_queries"] == 2
-    assert data["total_gates"] == 5
-    assert sum(o["count"] for o in data["outcomes"]) == 50
-    values = [o["value"] for o in data["outcomes"]]
-    assert values == sorted(values)
-    assert set(values) <= {1, 3}
 
 
 def test_hadamard_layer_uniform():
