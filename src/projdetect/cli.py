@@ -100,7 +100,7 @@ def _checked(kind, ok, need: str):
 _COUNT = _checked(int, lambda v: v >= 0, "at least 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, "at least 1")
 _GROUP_SIZE = _checked(int, lambda v: v >= 2, "at least 2")
-_NONNEGATIVE = _checked(float, lambda v: v >= 0, "at least 0")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < float("inf"), "finite and at least 0")
 _POSITIVE_REAL = _checked(float, lambda v: 0 < v < float("inf"), "finite and above 0")
 _PROBABILITY = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 

@@ -4,6 +4,8 @@ The register holds t qubits, the system is a D-dimensional space on which the
 unitary acts diagonally.  Gates are applied literally (no closed-form
 shortcut) so the query and gate counters are meaningful; the closed forms
 offgrid_amplitude and phase_tail_bound are kept only as the tests' referees.
+Each gate acts in place on a reshaped view of the 2^t x D amplitude array,
+and the QFT's wire swaps are one bit-reversal copy of the register axes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class QpeState:
     """Register tensor system statevector with mutable gate application.
 
     amps[l, s] is the amplitude of register value l and system basis state s.
-    Register bit j of l carries significance 2^j.
+    Register bit j of l carries significance 2^j.  amps stays C-contiguous,
+    so each gate's reshape is a view and the gate writes through it.
     """
 
     def __init__(self, t: int, system_amplitudes):
@@ -80,30 +83,29 @@ class QpeState:
 
 
 def _hadamard(state: QpeState, wire: int) -> None:
-    shape = (-1, 2, 1 << wire, state.dim)
-    a = state.amps.reshape(shape)
-    lo = a[:, 0].copy()
-    hi = a[:, 1].copy()
+    a = state.amps.reshape(-1, 2, 1 << wire, state.dim)
+    lo, hi = a[:, 0], a[:, 1]
+    total = lo + hi
+    np.subtract(lo, hi, out=hi)
     r = np.sqrt(0.5)
-    a[:, 0] = r * (lo + hi)
-    a[:, 1] = r * (lo - hi)
+    hi *= r
+    np.multiply(total, r, out=lo)
     state.counters.hadamards += 1
 
 
 def _controlled_phase(state: QpeState, wire_a: int, wire_b: int, turn: float) -> None:
-    idx = np.arange(1 << state.t)
-    mask = ((idx >> wire_a) & (idx >> wire_b) & 1).astype(bool)
-    state.amps[mask] *= np.exp(2j * np.pi * turn)
+    # wire_a > wire_b; the view's axes 1 and 3 are bits wire_a and wire_b
+    shape = (-1, 2, 1 << (wire_a - wire_b - 1), 2, (1 << wire_b) * state.dim)
+    state.amps.reshape(shape)[:, 1, :, 1] *= np.exp(2j * np.pi * turn)
     state.counters.controlled_rk += 1
 
 
-def _swap_wires(state: QpeState, wire_a: int, wire_b: int) -> None:
-    # relabeling only, not counted as a gate
-    idx = np.arange(1 << state.t)
-    bit_a = (idx >> wire_a) & 1
-    bit_b = (idx >> wire_b) & 1
-    swapped = idx ^ ((bit_a ^ bit_b) << wire_a) ^ ((bit_a ^ bit_b) << wire_b)
-    state.amps = state.amps[swapped]
+def _reverse_wires(state: QpeState) -> None:
+    # relabeling only, not counted as a gate; axis 0 of the view is wire t-1
+    t = state.t
+    bits = state.amps.reshape((2,) * t + (state.dim,))
+    reversed_axes = tuple(range(t - 1, -1, -1)) + (t,)
+    state.amps = bits.transpose(reversed_axes).reshape(-1, state.dim)
 
 
 def hadamard_layer(state: QpeState) -> QpeState:
@@ -119,10 +121,9 @@ def controlled_power_u(state: QpeState, unitary: DiagonalUnitary, j: int) -> Qpe
         raise ValueError("control bit out of range")
     if unitary.dim != state.dim:
         raise ValueError("system dimension mismatch")
-    idx = np.arange(1 << state.t)
-    mask = ((idx >> j) & 1).astype(bool)
-    phases = np.asarray(unitary.phases)
-    state.amps[mask] *= np.exp(2j * np.pi * (1 << j) * phases)[None, :]
+    # a float phase is dyadic, so scaling it by 2^j and reducing mod 1 is exact
+    turns = (np.asarray(unitary.phases) * (1 << j)) % 1.0
+    state.amps.reshape(-1, 2, 1 << j, state.dim)[:, 1] *= np.exp(2j * np.pi * turns)
     state.counters.cu_queries += 1
     return state
 
@@ -133,15 +134,13 @@ def qft(state: QpeState) -> QpeState:
         _hadamard(state, j)
         for k in range(2, j + 2):
             _controlled_phase(state, j, j - k + 1, 1.0 / (1 << k))
-    for j in range(state.t // 2):
-        _swap_wires(state, j, state.t - 1 - j)
+    _reverse_wires(state)
     return state
 
 
 def inverse_qft(state: QpeState) -> QpeState:
-    """Inverse of qft: undo the swaps, then the conjugated gates in reverse."""
-    for j in range(state.t // 2):
-        _swap_wires(state, j, state.t - 1 - j)
+    """Inverse of qft: undo the bit reversal, then the conjugated gates in reverse."""
+    _reverse_wires(state)
     for j in range(state.t):
         for k in range(j + 1, 1, -1):
             _controlled_phase(state, j, j - k + 1, -1.0 / (1 << k))

@@ -90,6 +90,7 @@ def test_unknown_subcommand_usage_error(capsys):
         "holo roundtrip --n -1 --capital-n 3",
         "holo cost --lambda 0 --beta 0",
         "holo cost --lambda 8 --beta -1",
+        "holo cost --lambda 2 --beta inf",
         "detect classical --n 1 --r 1",
         "detect classical --n 4 --r 2,2 --delta 0",
         "detect classical --n 4 --r 2,2 --delta 1.5",

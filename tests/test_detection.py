@@ -4,7 +4,6 @@ import json
 from fractions import Fraction
 from math import log2
 
-import numpy as np
 import pytest
 
 from projdetect.centre import CentreState, k_star, normalized_character, projector_state

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from math import factorial
 
 import pytest
 
@@ -27,7 +26,7 @@ from projdetect.groupalgebra import (
 )
 from projdetect.centre import cycle_class_size, normalized_character
 from projdetect.kron_lr import dim_A, ribbon_count
-from projdetect.symgroup import centralizer_order, class_size, dimension, partitions
+from projdetect.symgroup import centralizer_order, class_size, partitions
 
 
 def test_compose_and_inverse():

@@ -1,5 +1,6 @@
 """Source hygiene that a linter would check: no module imports a name it never uses.
 
+Both the package modules and the test files are checked.  The package's
 `__init__.py` is left out because its imports are the package's exports.
 """
 
@@ -14,7 +15,7 @@ MODULES = sorted(
     path
     for path in Path(projdetect.__file__).parent.glob("*.py")
     if path.name != "__init__.py"
-)
+) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -27,7 +27,7 @@ from projdetect.kron_lr import (
     pair_projector_state,
     ribbon_count,
 )
-from projdetect.symgroup import centralizer_order, dimension, partitions
+from projdetect.symgroup import dimension, partitions
 
 
 def brute_delta_of_product(a, b):

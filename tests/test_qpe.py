@@ -1,5 +1,6 @@
 """Statevector phase estimation: exactness, counters, tails."""
 
+import itertools
 from fractions import Fraction
 from math import sqrt
 
@@ -43,13 +44,14 @@ def test_qft_matches_dense_dft():
 
 def test_inverse_qft_inverts():
     rng = np.random.default_rng(3)
-    for t in (1, 3, 5):
-        vec = rng.normal(size=1 << t) + 1j * rng.normal(size=1 << t)
+    for t, dim in itertools.product((1, 3, 5), (1, 3)):
+        shape = (1 << t, dim)
+        vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         vec /= np.linalg.norm(vec)
-        state = QpeState(t, [1.0])
-        state.amps[:, 0] = vec
+        state = QpeState(t, np.full(dim, dim**-0.5))
+        state.amps[:] = vec
         inverse_qft(qft(state))
-        assert np.max(np.abs(state.amps[:, 0] - vec)) < 1e-12
+        assert np.max(np.abs(state.amps - vec)) < 1e-12
 
 
 def test_counter_closed_forms():
@@ -72,6 +74,33 @@ def test_on_grid_phase_is_read_exactly():
         assert dist.sum() == pytest.approx(1.0, abs=1e-12)
         wrong = dist.sum() - dist[value]
         assert wrong < 1e-12
+
+
+def test_on_grid_phase_exact_at_long_register():
+    """The 2^j-th power's angle is reduced mod 1 before it is formed, so no
+    large multiple of a phase leaks amplitude off the target value."""
+    t = 17
+    for m in ((1 << t) - 1, (1 << t) // 3, 12345):
+        dist, _, state = qpe_run(DiagonalUnitary((Fraction(m, 1 << t),)), [1.0], t)
+        off_target = np.delete(np.abs(state.amps[:, 0]), m)
+        assert off_target.max() < 1e-13
+        assert 1.0 - dist[m] < 1e-13
+
+
+def test_multi_column_run_matches_closed_form():
+    """Referee for D > 1: each system column carries its own phase's kernel."""
+    sys = np.array([0.6, 0.48j, -0.36 + 0.48j])
+    sys /= np.linalg.norm(sys)
+    for t in range(1, 9):
+        phases = (1 / 3, (5 / (1 << t)) % 1.0, 0.7071)
+        _, _, state = qpe_run(DiagonalUnitary(phases), sys, t)
+        expected = np.array(
+            [
+                [sys[s] * offgrid_amplitude(phases[s], m, t) for s in range(3)]
+                for m in range(1 << t)
+            ]
+        )
+        assert np.max(np.abs(state.amps - expected)) < 1e-12
 
 
 def test_eigenvalue_encode_decode_roundtrip():
