@@ -46,7 +46,10 @@ from .qpe import (
     phase_decode,
     phase_encode,
     phase_tail_bound,
+    qpe_outcomes,
     qpe_run,
+    qpe_schedule,
+    sample_outcome,
 )
 from .detection import (
     DetectionTranscript,

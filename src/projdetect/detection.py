@@ -25,10 +25,10 @@ from .centre import (
 from .qpe import (
     DiagonalUnitary,
     GateCounters,
-    measure_register,
     phase_decode,
     phase_encode,
-    qpe_run,
+    qpe_outcomes,
+    sample_outcome,
 )
 from .symgroup import Partition, as_partition, partitions
 
@@ -84,25 +84,34 @@ class DetectionTranscript:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def round_unitary(parts, size: int, k: int) -> tuple[int, DiagonalUnitary]:
+    """(t, U) for the T_k round: system component i carries parts[i]'s eigenvalue."""
+    t = t_bits(size, k)
+    bound = cycle_class_size(size, k)
+    unitary = DiagonalUnitary(
+        tuple(phase_encode(normalized_character(rep, k), bound, t) for rep in parts)
+    )
+    return t, unitary
+
+
 def run_family(amps, parts, size: int, rng, counters: GateCounters):
     """Run the rounds k = 2..k_star(size) of one signature family.
 
     System component i carries the T_k eigenvalue of parts[i], a diagram of
-    size. The post-measurement system state carries over between rounds,
-    which in the exact-phase regime leaves it untouched; there is no early
-    exit, so the counters match the closed-form sums. Each round's gates and
-    queries are added to counters. Returns (round records, measured
-    signature, collapsed system amplitudes).
+    size. Every phase is on the register grid, so each round is read from
+    qpe_outcomes' point masses and sampled by sample_outcome, with no
+    register array. The post-measurement system state carries over between
+    rounds, which in the exact-phase regime leaves it untouched; there is no
+    early exit, so the counters match the closed-form sums. Each round's
+    gates and queries are added to counters. Returns (round records,
+    measured signature, collapsed system amplitudes).
     """
     rounds = []
     for k in range(2, k_star(size) + 1):
-        t = t_bits(size, k)
-        bound = cycle_class_size(size, k)
-        unitary = DiagonalUnitary(
-            tuple(phase_encode(normalized_character(rep, k), bound, t) for rep in parts)
-        )
-        _, run, qstate = qpe_run(unitary, amps, t)
-        m, amps = measure_register(qstate, rng)
+        t, unitary = round_unitary(parts, size, k)
+        outcomes = qpe_outcomes(unitary, amps, t)
+        m, amps = sample_outcome(outcomes, rng)
+        run = outcomes.counters
         rounds.append(
             {
                 "k": k,

@@ -1,21 +1,34 @@
-"""Exact statevector simulation of phase estimation for diagonal unitaries.
+"""Phase estimation for diagonal unitaries: one gate schedule, two routes.
 
 The register holds t qubits, the system is a D-dimensional space on which the
-unitary acts diagonally.  Gates are applied literally (no closed-form
-shortcut) so the query and gate counters are meaningful; the closed forms
-offgrid_amplitude and phase_tail_bound are kept only as the tests' referees.
-Each gate acts in place on a reshaped view of the 2^t x D amplitude array,
-and the QFT's wire swaps are one bit-reversal copy of the register axes.
+unitary acts diagonally. qpe_schedule(t) lists one round's ops in circuit
+order: t Hadamards, t controlled-U^(2^j) queries, the bit reversal, then the
+inverse QFT's controlled-R_k gates and Hadamards.
+
+- The statevector route (qpe_run, measure_register) executes that schedule
+  gate by gate, in place on reshaped views of the 2^t x D amplitude array,
+  and counts each gate as it runs. It is the referee, and refuses a register
+  above STATEVECTOR_BYTES_BOUND before allocating it.
+- The analytic route (qpe_outcomes, sample_outcome) is what the detectors
+  run. Every detector phase is on the t-bit grid, so each system column
+  lands on one register value with probability 1 and the register law is a
+  sum of point masses; no 2^t array is built. Its counters come from walking
+  the same schedule. Off-grid phases are refused.
+
+The closed forms offgrid_amplitude and phase_tail_bound are kept only as the
+tests' referees for off-grid input.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 NORM_TOL = 1e-12
+STATEVECTOR_BYTES_BOUND = 1 << 30
 
 
 @dataclass
@@ -52,6 +65,16 @@ class GateCounters:
         return self.hadamards + self.controlled_rk
 
 
+def _system_vector(system_amplitudes) -> np.ndarray:
+    sys = np.asarray(system_amplitudes, dtype=complex)
+    if sys.ndim != 1 or sys.size == 0:
+        raise ValueError("system state must be a nonempty vector")
+    norm = np.linalg.norm(sys)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"system state norm {norm} is not 1")
+    return sys
+
+
 class QpeState:
     """Register tensor system statevector with mutable gate application.
 
@@ -63,12 +86,15 @@ class QpeState:
     def __init__(self, t: int, system_amplitudes):
         if t <= 0:
             raise ValueError("need at least one register qubit")
-        sys = np.asarray(system_amplitudes, dtype=complex)
-        if sys.ndim != 1 or sys.size == 0:
-            raise ValueError("system state must be a nonempty vector")
-        norm = np.linalg.norm(sys)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"system state norm {norm} is not 1")
+        sys = _system_vector(system_amplitudes)
+        nbytes = (1 << t) * sys.size * 16
+        if nbytes > STATEVECTOR_BYTES_BOUND:
+            raise ValueError(
+                f"a {t}-qubit register on a {sys.size}-dimensional system needs "
+                f"{nbytes} bytes, above STATEVECTOR_BYTES_BOUND = "
+                f"{STATEVECTOR_BYTES_BOUND}; qpe_outcomes reads on-grid phases "
+                "without the register"
+            )
         self.t = t
         self.dim = sys.size
         self.amps = np.zeros((1 << t, sys.size), dtype=complex)
@@ -108,11 +134,56 @@ def _reverse_wires(state: QpeState) -> None:
     state.amps = bits.transpose(reversed_axes).reshape(-1, state.dim)
 
 
+def _layer_ops(t: int) -> list[tuple]:
+    return [("h", wire) for wire in range(t)]
+
+
+def _qft_ops(t: int) -> list[tuple]:
+    ops = []
+    for j in range(t - 1, -1, -1):
+        ops.append(("h", j))
+        ops.extend(("rk", j, j - k + 1, 1.0 / (1 << k)) for k in range(2, j + 2))
+    ops.append(("reverse",))
+    return ops
+
+
+def _inverse_qft_ops(t: int) -> list[tuple]:
+    # H and the bit reversal are their own inverses; R_k's inverse negates its turn
+    return [op[:3] + (-op[3],) if op[0] == "rk" else op for op in reversed(_qft_ops(t))]
+
+
+def qpe_schedule(t: int) -> list[tuple]:
+    """One round's ops in circuit order.
+
+    ("h", wire) is a Hadamard, ("cu", j) the query U^(2^j) controlled on bit
+    j, ("reverse",) the bit reversal (relabelling, not a gate) and
+    ("rk", a, b, turn) the phase e^(2 pi i turn) on bits a and b both set.
+    """
+    return _layer_ops(t) + [("cu", j) for j in range(t)] + _inverse_qft_ops(t)
+
+
+def schedule_counters(ops) -> GateCounters:
+    """The counters a statevector run of ops increments, read by walking them."""
+    kinds = Counter(op[0] for op in ops)
+    return GateCounters(hadamards=kinds["h"], controlled_rk=kinds["rk"], cu_queries=kinds["cu"])
+
+
+def _execute(state: QpeState, ops, unitary: DiagonalUnitary | None = None) -> QpeState:
+    for op in ops:
+        if op[0] == "h":
+            _hadamard(state, op[1])
+        elif op[0] == "rk":
+            _controlled_phase(state, *op[1:])
+        elif op[0] == "cu":
+            controlled_power_u(state, unitary, op[1])
+        else:
+            _reverse_wires(state)
+    return state
+
+
 def hadamard_layer(state: QpeState) -> QpeState:
     """Put the whole register into the uniform superposition."""
-    for wire in range(state.t):
-        _hadamard(state, wire)
-    return state
+    return _execute(state, _layer_ops(state.t))
 
 
 def controlled_power_u(state: QpeState, unitary: DiagonalUnitary, j: int) -> QpeState:
@@ -130,37 +201,23 @@ def controlled_power_u(state: QpeState, unitary: DiagonalUnitary, j: int) -> Qpe
 
 def qft(state: QpeState) -> QpeState:
     """Forward transform; wire t-1 is the most significant bit."""
-    for j in range(state.t - 1, -1, -1):
-        _hadamard(state, j)
-        for k in range(2, j + 2):
-            _controlled_phase(state, j, j - k + 1, 1.0 / (1 << k))
-    _reverse_wires(state)
-    return state
+    return _execute(state, _qft_ops(state.t))
 
 
 def inverse_qft(state: QpeState) -> QpeState:
     """Inverse of qft: undo the bit reversal, then the conjugated gates in reverse."""
-    _reverse_wires(state)
-    for j in range(state.t):
-        for k in range(j + 1, 1, -1):
-            _controlled_phase(state, j, j - k + 1, -1.0 / (1 << k))
-        _hadamard(state, j)
-    return state
+    return _execute(state, _inverse_qft_ops(state.t))
 
 
 def qpe_run(unitary: DiagonalUnitary, system_state, t: int):
-    """One full phase-estimation circuit.
+    """One full phase-estimation circuit: qpe_schedule(t) executed gate by gate.
 
     Returns (register distribution, counters, final state).  The state is
     left unmeasured so callers can collapse it themselves.
     """
     if t <= 0:
         raise ValueError("register needs t >= 1 qubits")
-    state = QpeState(t, system_state)
-    hadamard_layer(state)
-    for j in range(t):
-        controlled_power_u(state, unitary, j)
-    inverse_qft(state)
+    state = _execute(QpeState(t, system_state), qpe_schedule(t), unitary)
     if abs(state.norm() - 1.0) > NORM_TOL:
         raise ArithmeticError("norm drifted beyond tolerance")
     return state.register_distribution(), state.counters, state
@@ -174,6 +231,65 @@ def measure_register(state: QpeState, rng: np.random.Generator):
     post = state.amps[m]
     post = post / np.linalg.norm(post)
     return m, post
+
+
+@dataclass(frozen=True)
+class QpeOutcomes:
+    """The register law of one on-grid round as point masses.
+
+    values are the distinct register values in increasing order, masses[i]
+    is the probability of reading values[i], and system column s lands on
+    values[column_value[s]].
+    """
+
+    values: tuple
+    masses: np.ndarray
+    column_value: np.ndarray
+    system: np.ndarray
+    counters: GateCounters
+
+
+def qpe_outcomes(unitary: DiagonalUnitary, system_state, t: int) -> QpeOutcomes:
+    """qpe_run's register law in closed form, for phases on the t-bit grid.
+
+    A phase m/2^t puts its whole column on register value m, so each value's
+    mass is the summed |amplitude|^2 of its columns. The counters are those
+    of qpe_schedule(t). Costs O(D log D); raises ValueError on an off-grid
+    phase, where the law is offgrid_amplitude's kernel instead.
+    """
+    if t <= 0:
+        raise ValueError("register needs t >= 1 qubits")
+    sys = _system_vector(system_state)
+    if unitary.dim != sys.size:
+        raise ValueError("system dimension mismatch")
+    # scaling by a power of two is exact, so an on-grid phase gives an integer
+    scaled = np.asarray(unitary.phases) * float(1 << t)
+    off = np.flatnonzero(scaled != np.floor(scaled))
+    if off.size:
+        raise ValueError(
+            f"phase {unitary.phases[off[0]]} is not on the {t}-bit grid; use qpe_run"
+        )
+    grid, column_value = np.unique(scaled, return_inverse=True)
+    return QpeOutcomes(
+        values=tuple(int(v) for v in grid),
+        masses=np.bincount(column_value, weights=np.abs(sys) ** 2, minlength=grid.size),
+        column_value=column_value,
+        system=sys,
+        counters=schedule_counters(qpe_schedule(t)),
+    )
+
+
+def sample_outcome(outcomes: QpeOutcomes, rng: np.random.Generator):
+    """Read the register once and collapse the system, as measure_register does.
+
+    Draws exactly as Generator.choice(p=...): one rng.random() searched
+    (side="right") in the normalized cumulative masses.
+    """
+    cdf = np.cumsum(outcomes.masses)
+    cdf /= cdf[-1]
+    i = int(cdf.searchsorted(rng.random(), side="right"))
+    post = np.where(outcomes.column_value == i, outcomes.system, 0)
+    return outcomes.values[i], post / np.linalg.norm(post)
 
 
 def phase_encode(eigenvalue: int, chi_max: int, t: int) -> Fraction:

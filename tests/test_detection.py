@@ -1,9 +1,12 @@
 """End-to-end signature detection and its exact cost accounting."""
 
+import copy
 import json
+import time
 from fractions import Fraction
 from math import log2
 
+import numpy as np
 import pytest
 
 from projdetect.centre import CentreState, k_star, normalized_character, projector_state
@@ -13,7 +16,16 @@ from projdetect.detection import (
     complexity_report,
     complexity_table,
     detect_projector,
+    round_unitary,
     t_bits,
+)
+from projdetect.qpe import (
+    measure_register,
+    qpe_outcomes,
+    qpe_run,
+    qpe_schedule,
+    sample_outcome,
+    schedule_counters,
 )
 from projdetect.symgroup import partitions
 
@@ -122,3 +134,54 @@ def test_seeded_runs_identical():
     t1 = detect_projector((2, 2, 2), seed=5)
     t2 = detect_projector((2, 2, 2), seed=5)
     assert t1.to_dict() == t2.to_dict()
+
+
+@pytest.mark.parametrize("n", (6, 8, 10, 12))
+def test_analytic_rounds_match_statevector(n):
+    """Referee: on weighted centre states both routes read the same m, leave
+    the generator in the same state and collapse to the same system vector."""
+    labels = partitions(n)
+    for seed in range(40):
+        weights = np.random.default_rng(1000 + seed).integers(1, len(labels) + 1, len(labels))
+        state = CentreState(n, {rep: int(w) for rep, w in zip(labels, weights)})
+        amps = state.unit_amplitudes(labels)
+        rng = np.random.default_rng(seed)
+        for k in range(2, k_star(n) + 1):
+            t, unitary = round_unitary(labels, n, k)
+            dense_rng = copy.deepcopy(rng)
+            _, executed, qstate = qpe_run(unitary, amps, t)
+            m_dense, post_dense = measure_register(qstate, dense_rng)
+            outcomes = qpe_outcomes(unitary, amps, t)
+            m, amps = sample_outcome(outcomes, rng)
+            assert m == m_dense
+            assert copy.deepcopy(rng).random() == dense_rng.random()
+            assert np.max(np.abs(amps - post_dense)) < 1e-12
+            assert outcomes.counters == executed
+
+
+def test_schedule_walk_matches_complexity_report():
+    """Every round row of complexity_report, n = 2..16, is the walked schedule."""
+    for n in range(2, 17):
+        for row in complexity_report(n)["per_k"]:
+            walked = schedule_counters(qpe_schedule(row["t"]))
+            assert (walked.cu_queries, walked.total_gates) == (row["queries"], row["gates"])
+
+
+def test_detection_reaches_n30():
+    """t = 10, 14, 19, 23: the last register would be 128 MiB on the statevector."""
+    report = complexity_report(30)
+    for rep in ((30,), (8, 7, 6, 5, 4), (1,) * 30):
+        transcript = detect_projector(rep, seed=0)
+        assert transcript.identified_label == rep
+        assert [row["t"] for row in transcript.rounds] == [r["t"] for r in report["per_k"]]
+        assert transcript.query_total == report["query_total"]
+        assert transcript.gate_total == report["gate_total"]
+
+
+def test_equal_superposition_n20_under_a_second():
+    labels = partitions(20)
+    state = CentreState(20, {rep: 1 for rep in labels})
+    start = time.perf_counter()
+    transcript = alice_detect(state, 20, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert transcript.identified_label in labels

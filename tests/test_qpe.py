@@ -1,14 +1,18 @@
-"""Statevector phase estimation: exactness, counters, tails."""
+"""Phase estimation: the statevector circuit, its schedule, and the analytic route it referees."""
 
 import itertools
+import time
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projdetect.qpe import (
     DiagonalUnitary,
+    GateCounters,
     QpeState,
     hadamard_layer,
     inverse_qft,
@@ -18,7 +22,11 @@ from projdetect.qpe import (
     phase_encode,
     phase_tail_bound,
     qft,
+    qpe_outcomes,
     qpe_run,
+    qpe_schedule,
+    sample_outcome,
+    schedule_counters,
 )
 
 
@@ -55,14 +63,16 @@ def test_inverse_qft_inverts():
 
 
 def test_counter_closed_forms():
-    """One run costs t queries and 2t + t(t-1)/2 counted gates."""
-    for t in range(1, 9):
+    """One run costs t queries and 2t + t(t-1)/2 counted gates, and walking
+    qpe_schedule(t) reads the same counters the statevector run increments."""
+    for t in range(1, 11):
         unitary = DiagonalUnitary((Fraction(1, 4),))
         _, counters, _ = qpe_run(unitary, [1.0], t)
         assert counters.cu_queries == t
         assert counters.hadamards == 2 * t
         assert counters.controlled_rk == t * (t - 1) // 2
         assert counters.total_gates == 2 * t + t * (t - 1) // 2
+        assert schedule_counters(qpe_schedule(t)) == counters
 
 
 def test_on_grid_phase_is_read_exactly():
@@ -172,3 +182,75 @@ def test_hadamard_layer_uniform():
 def test_norm_guard_rejects_bad_state():
     with pytest.raises(ValueError, match="norm"):
         QpeState(2, [0.5, 0.5])
+
+
+def test_statevector_preflight_refuses_before_allocating():
+    # 2^40 amplitudes would be 16 TiB; the bound is checked before np.zeros
+    with pytest.raises(ValueError, match="qpe_outcomes"):
+        QpeState(40, [1.0])
+
+
+@st.composite
+def grid_rounds(draw):
+    t = draw(st.integers(min_value=1, max_value=8))
+    dim = draw(st.integers(min_value=1, max_value=6))
+    values = draw(st.lists(st.integers(0, (1 << t) - 1), min_size=dim, max_size=dim))
+    part = st.floats(min_value=-1, max_value=1, allow_nan=False)
+    pairs = draw(
+        st.lists(st.tuples(part, part), min_size=dim, max_size=dim).filter(
+            lambda ps: sum(re * re + im * im for re, im in ps) > 1e-6
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    amps = np.array([complex(re, im) for re, im in pairs])
+    return t, values, amps / np.linalg.norm(amps), seed
+
+
+@settings(derandomize=True, deadline=None)
+@given(grid_rounds())
+def test_point_masses_match_dense_register(case):
+    t, values, amps, seed = case
+    unitary = DiagonalUnitary(tuple(Fraction(v, 1 << t) for v in values))
+    dist, executed, state = qpe_run(unitary, amps, t)
+    outcomes = qpe_outcomes(unitary, amps, t)
+    assert outcomes.values == tuple(sorted(set(values)))
+    for value, mass in zip(outcomes.values, outcomes.masses):
+        assert abs(dist[value] - mass) < 1e-12
+    assert np.delete(dist, outcomes.values).max(initial=0.0) < 1e-12
+    assert outcomes.counters == executed
+    m_dense, post_dense = measure_register(state, np.random.default_rng(seed))
+    m, post = sample_outcome(outcomes, np.random.default_rng(seed))
+    assert m == m_dense
+    assert np.max(np.abs(post - post_dense)) < 1e-12
+
+
+def test_qpe_outcomes_refuses_bad_input():
+    with pytest.raises(ValueError, match="grid"):
+        qpe_outcomes(DiagonalUnitary((1 / 3,)), [1.0], 5)
+    with pytest.raises(ValueError, match="grid"):
+        qpe_outcomes(DiagonalUnitary((Fraction(1, 64),)), [1.0], 5)
+    with pytest.raises(ValueError, match="norm"):
+        qpe_outcomes(DiagonalUnitary((0.0, 0.5)), [0.5, 0.5], 5)
+    with pytest.raises(ValueError, match="dimension"):
+        qpe_outcomes(DiagonalUnitary((0.0, 0.5)), [1.0], 5)
+    with pytest.raises(ValueError, match="t >= 1"):
+        qpe_outcomes(DiagonalUnitary((0.0,)), [1.0], 0)
+
+
+def test_qpe_outcomes_reaches_past_the_statevector():
+    """t = 40 on a 3-column system: the dense register would be 16 TiB."""
+    t = 40
+    values = ((1 << t) - 1, 12345678901, (1 << t) - 1)
+    unitary = DiagonalUnitary(tuple(Fraction(v, 1 << t) for v in values))
+    amps = np.array([0.6, 0.64j, -0.48])
+    start = time.perf_counter()
+    outcomes = qpe_outcomes(unitary, amps, t)
+    m, post = sample_outcome(outcomes, np.random.default_rng(0))
+    assert time.perf_counter() - start < 0.1
+    assert outcomes.values == (12345678901, (1 << t) - 1)
+    assert np.allclose(outcomes.masses, [0.4096, 0.5904], atol=1e-12)
+    assert outcomes.counters == GateCounters(
+        hadamards=2 * t, controlled_rk=t * (t - 1) // 2, cu_queries=t
+    )
+    assert m in outcomes.values
+    assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
