@@ -168,14 +168,12 @@ def schedule_counters(ops) -> GateCounters:
     return GateCounters(hadamards=kinds["h"], controlled_rk=kinds["rk"], cu_queries=kinds["cu"])
 
 
-def _execute(state: QpeState, ops, unitary: DiagonalUnitary | None = None) -> QpeState:
+def _execute(state: QpeState, ops) -> QpeState:
     for op in ops:
         if op[0] == "h":
             _hadamard(state, op[1])
         elif op[0] == "rk":
             _controlled_phase(state, *op[1:])
-        elif op[0] == "cu":
-            controlled_power_u(state, unitary, op[1])
         else:
             _reverse_wires(state)
     return state
@@ -217,7 +215,11 @@ def qpe_run(unitary: DiagonalUnitary, system_state, t: int):
     """
     if t <= 0:
         raise ValueError("register needs t >= 1 qubits")
-    state = _execute(QpeState(t, system_state), qpe_schedule(t), unitary)
+    # the three segments of qpe_schedule(t), each run by its named function
+    state = hadamard_layer(QpeState(t, system_state))
+    for j in range(t):
+        controlled_power_u(state, unitary, j)
+    inverse_qft(state)
     if abs(state.norm() - 1.0) > NORM_TOL:
         raise ArithmeticError("norm drifted beyond tolerance")
     return state.register_distribution(), state.counters, state

@@ -1,7 +1,7 @@
 """Phase estimation: the statevector circuit, its schedule, and the analytic route it referees."""
 
 import itertools
-import time
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projdetect import qpe
 from projdetect.qpe import (
     DiagonalUnitary,
     GateCounters,
@@ -73,6 +74,20 @@ def test_counter_closed_forms():
         assert counters.controlled_rk == t * (t - 1) // 2
         assert counters.total_gates == 2 * t + t * (t - 1) // 2
         assert schedule_counters(qpe_schedule(t)) == counters
+
+
+def test_qpe_run_calls_its_segments_by_name(monkeypatch):
+    """qpe_run looks hadamard_layer, controlled_power_u and inverse_qft up in
+    the module, so a wrapper installed there sees every call, in schedule order."""
+    calls = []
+    for name in ("hadamard_layer", "controlled_power_u", "inverse_qft"):
+        original = getattr(qpe, name)
+        monkeypatch.setattr(
+            qpe, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    t = 5
+    qpe_run(DiagonalUnitary((Fraction(3, 1 << t),)), [1.0], t)
+    assert calls == ["hadamard_layer"] + ["controlled_power_u"] * t + ["inverse_qft"]
 
 
 def test_on_grid_phase_is_read_exactly():
@@ -243,10 +258,14 @@ def test_qpe_outcomes_reaches_past_the_statevector():
     values = ((1 << t) - 1, 12345678901, (1 << t) - 1)
     unitary = DiagonalUnitary(tuple(Fraction(v, 1 << t) for v in values))
     amps = np.array([0.6, 0.64j, -0.48])
-    start = time.perf_counter()
-    outcomes = qpe_outcomes(unitary, amps, t)
-    m, post = sample_outcome(outcomes, np.random.default_rng(0))
-    assert time.perf_counter() - start < 0.1
+    tracemalloc.start()
+    try:
+        outcomes = qpe_outcomes(unitary, amps, t)
+        m, post = sample_outcome(outcomes, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert outcomes.values == (12345678901, (1 << t) - 1)
     assert np.allclose(outcomes.masses, [0.4096, 0.5904], atol=1e-12)
     assert outcomes.counters == GateCounters(
