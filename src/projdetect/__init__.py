@@ -22,7 +22,6 @@ from .symgroup import (
 )
 from .centre import (
     CentreState,
-    SignatureCollisionError,
     chi_max,
     content_sum,
     cycle_class_size,

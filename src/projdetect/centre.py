@@ -10,6 +10,7 @@ idempotents: k_star(n) is the shortest prefix length that works.
 from fractions import Fraction
 from functools import cache
 from math import factorial, log
+from types import MappingProxyType
 import csv
 import io
 
@@ -24,10 +25,6 @@ from .symgroup import (
 )
 
 STRUCTURE_CONSTANT_BOUND = 8
-
-
-class SignatureCollisionError(ValueError):
-    """Raised when two diagrams share an eigenvalue signature."""
 
 
 def cycle_class_size(n: int, k: int) -> int:
@@ -72,36 +69,33 @@ def signature(rep: Partition, upto: int) -> tuple[int, ...]:
     return tuple(normalized_character(rep, k) for k in range(2, upto + 1))
 
 
-def signature_table(n: int, upto: int) -> dict[tuple[int, ...], Partition]:
-    """Map from (T_2..T_upto) eigenvalue tuples to the diagram carrying them.
+@cache
+def signature_table(n: int) -> MappingProxyType[tuple[int, ...], Partition]:
+    """Map from (T_2..T_k*) eigenvalue tuples to the diagram carrying them.
 
-    Raises SignatureCollisionError naming the colliding diagrams whenever
-    upto < k_star(n); detection always calls this at upto = k_star(n).
+    Built once per n, in partitions(n) order, and read-only because every
+    caller in the process shares it. k_star(n) separates every diagram by
+    definition, so a shared signature means the cutoff or the characters
+    are broken, and it raises rather than returns.
     """
+    upto = k_star(n)
     table: dict[tuple[int, ...], Partition] = {}
-    collisions: dict[tuple[int, ...], list[Partition]] = {}
     for rep in partitions(n):
         sig = signature(rep, upto)
         if sig in table:
-            collisions.setdefault(sig, [table[sig]]).append(rep)
-        else:
-            table[sig] = rep
-    if collisions:
-        detail = "; ".join(
-            f"{sig} shared by {list(reps)}" for sig, reps in collisions.items()
-        )
-        raise SignatureCollisionError(
-            f"signatures up to T_{upto} do not separate diagrams of {n}: {detail}"
-        )
-    return table
+            raise ArithmeticError(
+                f"{table[sig]} and {rep} share signature {sig} at k*={upto}, n={n}"
+            )
+        table[sig] = rep
+    return MappingProxyType(table)
 
 
-def signature_table_csv(n: int, upto: int) -> str:
+def signature_table_csv(n: int) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["partition"] + [f"T_{k}" for k in range(2, upto + 1)])
-    for rep in partitions(n):
-        w.writerow([",".join(map(str, rep))] + list(signature(rep, upto)))
+    w.writerow(["partition"] + [f"T_{k}" for k in range(2, k_star(n) + 1)])
+    for sig, rep in signature_table(n).items():
+        w.writerow([",".join(map(str, rep))] + list(sig))
     return buf.getvalue()
 
 
@@ -139,10 +133,7 @@ def k_star_growth_report(n_max: int) -> list[dict]:
     """Rows (n, k_star, n^{1/4}/log n) for eyeballing the growth heuristic."""
     rows = []
     for n in range(2, n_max + 1):
-        ks = k_star(n)
-        if ks > n:
-            raise AssertionError("cutoff exceeded n")
-        rows.append({"n": n, "k_star": ks, "heuristic": n**0.25 / log(n)})
+        rows.append({"n": n, "k_star": k_star(n), "heuristic": n**0.25 / log(n)})
     return rows
 
 

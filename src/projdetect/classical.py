@@ -213,11 +213,14 @@ def l2_inner_product(
     single sample at index i contributes Z = Y_i |X|^2 / X_i, unbiased with
     variance at most |X|^2 |Y|^2, so each mean misses <X, Y> by more than
     epsilon |X||Y| with probability at most 1/9 (Chebyshev) and the median of
-    r means fails with probability well under delta. Queries: one per sampled
-    index, one per Y-entry read, one per norm, 2 r s + 2 in total.
+    r means fails with probability well under delta. queries is what the
+    oracles counted over the call: one per sampled index, one per Y-entry
+    read, one per norm, 2 r s + 2 in total.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
+    oracles = (x_oracle,) if y_oracle is x_oracle else (x_oracle, y_oracle)
+    start = sum(o.queries for o in oracles)
     r, s = sample_budget(epsilon_sq, delta)
     x_norm_sq = x_oracle.norm_sq()
     if x_norm_sq == 0:
@@ -232,13 +235,11 @@ def l2_inner_product(
             if y_val:
                 acc += c * y_val * x_norm_sq / x_oracle._entry(key)
         means.append(acc / s)
-    est = median(means)
-    queries = 2 * r * s + 2
     return SampleEstimate(
-        value=est,
+        value=median(means),
         epsilon=float(epsilon_sq) ** 0.5,
         delta=delta,
-        queries=queries,
+        queries=sum(o.queries for o in oracles) - start,
         means=r,
         samples_per_mean=s,
     )
@@ -399,7 +400,7 @@ def classical_detect(rep: Partition, delta: float = 0.05, seed: int = 0) -> Clas
             }
         )
     transcript.signature = tuple(sig)
-    transcript.detected = signature_table(n, cutoff).get(transcript.signature)
+    transcript.detected = signature_table(n).get(transcript.signature)
     return transcript
 
 

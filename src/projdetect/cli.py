@@ -37,8 +37,12 @@ def _dump(obj) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            print(f"projdetect: error: cannot write --out {out}: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2)
     else:
         print(text)
 
@@ -238,7 +242,7 @@ def _cmd_chars(args, parser, out: str | None) -> int:
 def _cmd_kstar(args, parser, out: str | None) -> int:
     if args.signatures_for is not None:
         n = args.signatures_for
-        _emit(centre.signature_table_csv(n, centre.k_star(n)), out)
+        _emit(centre.signature_table_csv(n), out)
         return 0
     rows = centre.k_star_growth_report(args.n_max)
     if args.json:

@@ -145,8 +145,7 @@ def alice_detect(state: CentreState, n: int, seed: int = 0) -> DetectionTranscri
     transcript.rounds, key, _ = run_family(
         state.unit_amplitudes(labels), labels, n, rng, transcript.counters
     )
-    # the signature holds T_2..T_k*, so its length fixes the table's cutoff
-    table = signature_table(n, len(key) + 1)
+    table = signature_table(n)
     if key not in table:
         raise ValueError(f"not a projector state: signature {key} unknown for n={n}")
     transcript.identified_label = table[key]

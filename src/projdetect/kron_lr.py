@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .centre import LabelledState, k_star, signature_table
+from .centre import LabelledState, signature_table
 from .detection import run_family
 from .qpe import GateCounters
 from .symgroup import (
@@ -190,7 +190,7 @@ def _detect_slots(state, families, what: str, seed: int) -> MultiFamilyTranscrip
         transcript.families.append(
             {"family": name, "rounds": rounds, "signature": list(sig)}
         )
-        table = signature_table(size, k_star(size))
+        table = signature_table(size)
         if sig not in table:
             raise ValueError(f"not {what} projector: {name} signature {sig}")
         detected.append(table[sig])

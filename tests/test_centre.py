@@ -4,13 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projdetect.centre import (
     CentreState,
-    SignatureCollisionError,
     chi_max,
     content_sum,
     cycle_class_size,
@@ -75,15 +73,11 @@ def test_signature_collisions_at_n6():
     assert sigs[(3, 1, 1, 1)] == sigs[(2, 2, 2)] == (-3,)
     values = list(sigs.values())
     assert len(values) - len(set(values)) == 2
-    with pytest.raises(SignatureCollisionError) as exc_info:
-        signature_table(6, 2)
-    message = str(exc_info.value)
-    assert "(3,)" in message and "(-3,)" in message
 
 
 def test_signature_table_resolves_at_kstar():
     for n in range(2, 10):
-        table = signature_table(n, k_star(n))
+        table = signature_table(n)
         assert len(table) == len(partitions(n))
         for sig, rep in table.items():
             assert signature(rep, k_star(n)) == sig
@@ -185,7 +179,7 @@ def test_unit_amplitudes_plancherel():
 
 
 def test_signature_table_csv_header():
-    first = signature_table_csv(4, 2).splitlines()[0].rstrip()
+    first = signature_table_csv(4).splitlines()[0].rstrip()
     assert first == "partition,T_2"
 
 

@@ -202,6 +202,17 @@ def test_deterministic_queries_bound():
     assert 2 * r * s + 2 == deterministic_queries(rep, 2)
 
 
+def test_reported_queries_are_the_oracle_counts():
+    """l2_inner_product reports what its oracles counted, which is the closed form."""
+    rep = (3, 2, 1)
+    for k in (2, 3):
+        x, y = ProjectorColumnOracle(rep), CycleClassRowOracle(6, k)
+        est = l2_inner_product(x, y, resolving_epsilon_sq(rep, k), seed=k)
+        assert est.queries == x.queries + y.queries
+        r, s = est.means, est.samples_per_mean
+        assert est.queries == deterministic_queries(rep, k) == 2 * r * s + 2
+
+
 def test_frozen_complexity_totals():
     rows = classical_complexity_report([6, 7, 8])
     totals = {row["n"]: row["queries"] for row in rows}

@@ -150,6 +150,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["schema"] == "1"
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_usage_error(capsys, tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "such" / "x"
+    code, out, err = invoke(capsys, "kstar", "--n-max", "4", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "cannot write --out" in err and "Traceback" not in err
+
+
 def test_kron_table_csv(capsys):
     code, out, _ = invoke(capsys, "kron", "--n", "3", "--table")
     assert code == 0

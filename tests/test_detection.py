@@ -9,7 +9,13 @@ from math import log2
 import numpy as np
 import pytest
 
-from projdetect.centre import CentreState, k_star, normalized_character, projector_state
+from projdetect.centre import (
+    CentreState,
+    k_star,
+    normalized_character,
+    projector_state,
+    signature_table,
+)
 from projdetect.detection import (
     alice_detect,
     bob_prepare,
@@ -176,6 +182,22 @@ def test_detection_reaches_n30():
         assert [row["t"] for row in transcript.rounds] == [r["t"] for r in report["per_k"]]
         assert transcript.query_total == report["query_total"]
         assert transcript.gate_total == report["gate_total"]
+
+
+def test_every_diagram_of_n24_on_one_table():
+    """All p(24) = 1575 diagrams at k* = 5, resolved by one table build."""
+    report = complexity_report(24)
+    labels = partitions(24)
+    assert (len(labels), report["k_star"]) == (1575, 5)
+    signature_table.cache_clear()
+    for rep in labels:
+        transcript = detect_projector(rep, seed=0)
+        assert transcript.identified_label == rep
+        assert [row["t"] for row in transcript.rounds] == [r["t"] for r in report["per_k"]]
+        assert transcript.query_total == report["query_total"]
+        assert transcript.gate_total == report["gate_total"]
+    info = signature_table.cache_info()
+    assert (info.misses, info.hits) == (1, len(labels) - 1)
 
 
 def test_equal_superposition_n20_builds_no_register():
