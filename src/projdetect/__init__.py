@@ -18,7 +18,6 @@ from .symgroup import (
     format_partition,
     parse_partition,
     partitions,
-    sum_of_dimensions,
 )
 from .centre import (
     CentreState,

@@ -44,7 +44,13 @@ def _emit(text: str, out: str | None) -> None:
             print(f"projdetect: error: cannot write --out {out}: {exc.strerror}", file=sys.stderr)
             raise SystemExit(2)
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            print(f"projdetect: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            # the exit flush of sys.stdout would fail again and print a report
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(2)
 
 
 def _partition_arg(parser: argparse.ArgumentParser, text: str):
@@ -241,8 +247,9 @@ def _cmd_chars(args, parser, out: str | None) -> int:
 
 def _cmd_kstar(args, parser, out: str | None) -> int:
     if args.signatures_for is not None:
-        n = args.signatures_for
-        _emit(centre.signature_table_csv(n), out)
+        if args.json:
+            parser.error("kstar --signatures-for emits CSV only; drop --json")
+        _emit(centre.signature_table_csv(args.signatures_for), out)
         return 0
     rows = centre.k_star_growth_report(args.n_max)
     if args.json:
@@ -362,10 +369,10 @@ def _cmd_detect_classical(args, parser, out: str | None) -> int:
 
 
 # kron and lr: (size flags, --triple parser, JSON key of a coefficient, and
-# the kron_lr functions giving a coefficient, the labels, the algebra's
-# dimension and its referee count). The functions are named, and looked up
-# per call, so that wrappers installed on kron_lr see the calls; the last two
-# names are also their keys in the summary.
+# the kron_lr functions giving one coefficient, the coefficient table, the
+# algebra's dimension and its referee count). The functions are named, and
+# looked up per call, so that wrappers installed on kron_lr see the calls;
+# the last two names are also their keys in the summary.
 _ALGEBRAS = {
     "kron": (
         ("n",),
@@ -395,10 +402,7 @@ def _cmd_algebra(args, parser, out: str | None) -> int:
         return 0
     labels = labels_of(*sizes.values())
     if args.table:
-        rows = [
-            (";".join(format_partition(p) for p in label), coefficient(*label))
-            for label in labels
-        ]
+        rows = [(";".join(format_partition(p) for p in t), v) for t, v in labels.items()]
         if args.json:
             table = [{"triple": t, key: v} for t, v in rows]
             _emit(_dump({"schema": "1", **sizes, "rows": table}), out)

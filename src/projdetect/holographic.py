@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, pi
+from types import MappingProxyType
 import cmath
 
 import numpy as np
@@ -432,35 +433,32 @@ def fermions_from_moments(m_values) -> FermionConfig:
     return FermionConfig(tuple(sorted(energies)))
 
 
-def moments_table(n: int, capital_n: int, upto: int) -> dict[tuple[int, ...], Partition]:
-    """Map (M_1..M_upto) to the diagram of n producing it at this fermion count."""
-    table = {}
-    for rep in partitions(n):
-        m = moments(fermion_config(rep, capital_n), upto)
-        table[tuple(m[1:])] = rep
-    return table
-
-
 @cache
-def moment_cutoff(n: int, capital_n: int) -> int:
-    """Minimal K >= 1 with (M_1..M_K) distinct across diagrams of n.
+def moment_table(n: int, capital_n: int) -> MappingProxyType[tuple[int, ...], Partition]:
+    """Map (M_1..M_K) to the diagram of n producing it at this fermion count.
 
-    K = N always suffices: M_1..M_N determine the N energies outright, and
-    the energies determine the diagram.
+    K is the least cutoff >= 1 with the prefixes distinct across diagrams of
+    n; K = N always suffices, since M_1..M_N determine the N energies
+    outright and the energies determine the diagram. Built once per (n, N)
+    and read-only because every caller in the process shares it.
     """
     if capital_n <= n:
         raise ValueError("need more fermions than boxes")
     if n < 1:
         raise ValueError("need n >= 1")
-    reps = partitions(n)
     vectors = {
-        rep: moments(fermion_config(rep, capital_n), capital_n)[1:] for rep in reps
+        rep: moments(fermion_config(rep, capital_n), capital_n)[1:] for rep in partitions(n)
     }
     for k in range(1, capital_n + 1):
-        prefixes = {tuple(v[:k]) for v in vectors.values()}
-        if len(prefixes) == len(reps):
-            return k
+        table = {tuple(v[:k]): rep for rep, v in vectors.items()}
+        if len(table) == len(vectors):
+            return MappingProxyType(table)
     raise AssertionError("full moment vectors failed to separate diagrams")
+
+
+def moment_cutoff(n: int, capital_n: int) -> int:
+    """Least K >= 1 with (M_1..M_K) distinct across diagrams of n: the table's key length."""
+    return len(next(iter(moment_table(n, capital_n))))
 
 
 def recover_diagram(m_values, n: int, capital_n: int) -> Partition:
@@ -474,10 +472,9 @@ def recover_diagram(m_values, n: int, capital_n: int) -> Partition:
         )
     if m_values[0] != capital_n:
         raise ValueError(f"M_0 = {m_values[0]} does not match {capital_n} fermions")
-    table = moments_table(n, capital_n, cutoff)
     key = tuple(m_values[1 : cutoff + 1])
     try:
-        return table[key]
+        return moment_table(n, capital_n)[key]
     except KeyError:
         raise ValueError(f"inconsistent moments {key} for n={n}") from None
 

@@ -13,8 +13,9 @@ detection as the centre, with one signature family per tensor slot.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import product
 from math import factorial
+from types import MappingProxyType
 import json
 
 import numpy as np
@@ -57,16 +58,15 @@ def kronecker(r1: Partition, r2: Partition, r3: Partition) -> int:
 
 
 @cache
-def kron_labels(n: int) -> tuple[tuple[Partition, Partition, Partition], ...]:
-    """All triples (R1, R2, R3) with nonzero Kronecker coefficient, canonical order."""
-    reps = partitions(n)
-    return tuple(
-        (a, b, c)
-        for a in reps
-        for b in reps
-        for c in reps
-        if kronecker(a, b, c)
-    )
+def kron_labels(n: int) -> MappingProxyType[tuple[Partition, Partition, Partition], int]:
+    """Nonzero Kronecker coefficients keyed by triple (R1, R2, R3), canonical order.
+
+    The one coefficient table of the tensor-square algebra: built once per n
+    by the per-triple formula, zeros left out, and read-only because every
+    caller in the process shares it.
+    """
+    triples = product(partitions(n), repeat=3)
+    return MappingProxyType({t: v for t in triples if (v := kronecker(*t))})
 
 
 def ribbon_count(n: int) -> int:
@@ -75,23 +75,17 @@ def ribbon_count(n: int) -> int:
 
 
 def dim_K(n: int) -> int:
-    """Dimension of the tensor-square algebra: sum of squared Kronecker coefficients.
-
-    The coefficient is symmetric in its three labels, so the sum runs over
-    unordered triples weighted by how many distinct orderings each one has.
-    """
-    reps = partitions(n)
-    total = 0
-    for a, b, c in combinations_with_replacement(reps, 3):
-        orderings = len({(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)})
-        total += orderings * kronecker(a, b, c) ** 2
-    return total
+    """Dimension of the tensor-square algebra: sum of squared Kronecker coefficients."""
+    return sum(v * v for v in kron_labels(n).values())
 
 
 def pair_projector_norm_sq(r1: Partition, r2: Partition, r3: Partition) -> Fraction:
     """Squared g-norm of ptilde: d1 d2 d3 C / (n!)^2, also its delta value."""
-    n = sum(as_partition(r1))
-    num = dimension(r1) * dimension(r2) * dimension(r3) * kronecker(r1, r2, r3)
+    r1, r2, r3 = label = _as_triple((r1, r2, r3))
+    n = sum(r1)
+    if sum(r2) != n or sum(r3) != n:
+        raise ValueError("all three diagrams must have the same size")
+    num = dimension(r1) * dimension(r2) * dimension(r3) * kron_labels(n).get(label, 0)
     return Fraction(num, factorial(n) ** 2)
 
 
@@ -195,7 +189,7 @@ def _detect_slots(state, families, what: str, seed: int) -> MultiFamilyTranscrip
             raise ValueError(f"not {what} projector: {name} signature {sig}")
         detected.append(table[sig])
     transcript.detected = tuple(detected)
-    if transcript.detected not in set(state.labels):
+    if transcript.detected not in state.labels:
         raise ValueError(f"detected triple {transcript.detected} is not a valid label")
     return transcript
 
@@ -287,20 +281,19 @@ def lr_coefficient_by_rule(rep: Partition, r1: Partition, r2: Partition) -> int:
 
 
 @cache
-def lr_labels(m: int, n: int) -> tuple[tuple[Partition, Partition, Partition], ...]:
-    """Triples (R, R1, R2) with nonzero restriction coefficient, canonical order."""
-    return tuple(
-        (rep, r1, r2)
-        for rep in partitions(m + n)
-        for r1 in partitions(m)
-        for r2 in partitions(n)
-        if lr_coefficient(rep, r1, r2)
-    )
+def lr_labels(m: int, n: int) -> MappingProxyType[tuple[Partition, Partition, Partition], int]:
+    """Nonzero restriction coefficients keyed by triple (R, R1, R2), canonical order.
+
+    The one coefficient table of the restriction algebra, built and shared
+    as kron_labels is.
+    """
+    triples = product(partitions(m + n), partitions(m), partitions(n))
+    return MappingProxyType({t: v for t in triples if (v := lr_coefficient(*t))})
 
 
 def dim_A(m: int, n: int) -> int:
     """Dimension of the restriction algebra: sum of squared coefficients."""
-    return sum(lr_coefficient(*label) ** 2 for label in lr_labels(m, n))
+    return sum(v * v for v in lr_labels(m, n).values())
 
 
 def necklace_count(m: int, n: int) -> int:
@@ -325,14 +318,12 @@ def necklace_count(m: int, n: int) -> int:
 
 def lr_projector_norm_sq(rep, r1, r2) -> Fraction:
     """Squared g-norm of P_R emb(P_R1 x P_R2): d_R d1 d2 g / (m+n)!."""
-    rep = as_partition(rep)
-    num = (
-        dimension(rep)
-        * dimension(r1)
-        * dimension(r2)
-        * lr_coefficient(rep, r1, r2)
-    )
-    return Fraction(num, factorial(sum(rep)))
+    rep, r1, r2 = label = _as_triple((rep, r1, r2))
+    m, n = sum(r1), sum(r2)
+    if sum(rep) != m + n:
+        raise ValueError(f"|{rep}| != {m} + {n}")
+    num = dimension(rep) * dimension(r1) * dimension(r2) * lr_labels(m, n).get(label, 0)
+    return Fraction(num, factorial(m + n))
 
 
 def lr_projector_brute(rep, r1, r2):

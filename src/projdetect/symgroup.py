@@ -193,16 +193,6 @@ def normalized_character_exact(rep: Partition, k: int) -> int:
     return int(value)
 
 
-def sum_of_dimensions(n: int) -> int:
-    """Sum of dim(R) over all R with n boxes: the involution count of S_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(
-        factorial(n) // (2**k * factorial(k) * factorial(n - 2 * k))
-        for k in range(n // 2 + 1)
-    )
-
-
 class CharacterTable:
     """Full character table of S_n with exact integer entries.
 

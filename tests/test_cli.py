@@ -1,6 +1,7 @@
 """Command-line contract: formats, determinism, exit codes, seeds."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -157,6 +158,31 @@ def test_unwritable_out_usage_error(capsys, tmp_path, where):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert "cannot write --out" in err and "Traceback" not in err
+
+
+def test_closed_stdout_usage_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "projdetect.cli", "chars", "--n", "14"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "projdetect: error: cannot write stdout: Broken pipe\n"
+
+
+def test_signature_table_refuses_json(capsys):
+    code, out, err = invoke(capsys, "kstar", "--n-max", "4", "--signatures-for", "6", "--json")
+    assert (code, out) == (2, "")
+    assert "--signatures-for" in err and "Traceback" not in err
+    code, csv_out, _ = invoke(capsys, "kstar", "--n-max", "4", "--signatures-for", "6", "--csv")
+    assert code == 0
+    assert csv_out == invoke(capsys, "kstar", "--n-max", "4", "--signatures-for", "6")[1]
 
 
 def test_kron_table_csv(capsys):

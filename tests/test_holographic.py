@@ -23,6 +23,7 @@ from projdetect.holographic import (
     jacobi_coeffs,
     jacobi_via_hypergeometric,
     moment_cutoff,
+    moment_table,
     moments,
     moments_from_casimirs,
     recover_diagram,
@@ -178,6 +179,20 @@ def test_moment_cutoff_examples():
     assert moment_cutoff(2, 3) == 2
     assert moment_cutoff(1, 2) == 1
     assert moment_cutoff(3, 4) == 2
+
+
+def test_moment_table_built_once_per_size():
+    moment_table.cache_clear()
+    for rep in partitions(10):
+        assert holographic_roundtrip(rep, 11)["match"]
+    assert moment_table.cache_info().misses == 1
+    table = moment_table(10, 11)
+    assert tuple(table.values()) == partitions(10)
+    cutoff = moment_cutoff(10, 11)
+    assert {len(key) for key in table} == {cutoff}
+    assert len({key[: cutoff - 1] for key in table}) < len(table)
+    with pytest.raises(TypeError):
+        table[(0,)] = (10,)
 
 
 def test_recover_diagram_route():

@@ -1,10 +1,12 @@
 """Kronecker and restriction coefficients, their algebras, and detection."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
+from projdetect import kron_lr
 from projdetect.groupalgebra import delta
 from projdetect.kron_lr import (
     LrState,
@@ -21,8 +23,10 @@ from projdetect.kron_lr import (
     lr_detect,
     lr_labels,
     lr_projector_brute,
+    lr_projector_norm_sq,
     lr_projector_state,
     necklace_count,
+    pair_projector_norm_sq,
     pair_projector_state,
     ribbon_count,
 )
@@ -39,6 +43,72 @@ def test_kronecker_symmetry_and_values():
                 v = kronecker(a, b, c)
                 assert v == kronecker(b, a, c) == kronecker(c, b, a)
                 assert v >= 0
+
+
+def test_kron_table_holds_every_nonzero_coefficient():
+    for n in range(7):
+        table = kron_labels(n)
+        coeffs = {t: kronecker(*t) for t in product(partitions(n), repeat=3)}
+        assert all(table.get(t, 0) == v for t, v in coeffs.items())
+        assert tuple(table) == tuple(t for t, v in coeffs.items() if v)
+    assert tuple(kron_labels(2)) == (
+        ((2,), (2,), (2,)),
+        ((2,), (1, 1), (1, 1)),
+        ((1, 1), (2,), (1, 1)),
+        ((1, 1), (1, 1), (2,)),
+    )
+
+
+def test_lr_table_holds_every_nonzero_coefficient():
+    for total in range(9):
+        for m in range(total + 1):
+            n = total - m
+            table = lr_labels(m, n)
+            triples = product(partitions(total), partitions(m), partitions(n))
+            coeffs = {t: lr_coefficient(*t) for t in triples}
+            assert all(table.get(t, 0) == v for t, v in coeffs.items())
+            assert tuple(table) == tuple(t for t, v in coeffs.items() if v)
+    assert tuple(lr_labels(1, 1)) == (((2,), (1,), (1,)), ((1, 1), (1,), (1,)))
+
+
+def test_coefficient_tables_are_read_only():
+    with pytest.raises(TypeError):
+        kron_labels(3)[((3,), (3,), (2, 1))] = 1
+    with pytest.raises(TypeError):
+        lr_labels(2, 1)[((1, 1, 1), (2,), (1,))] = 1
+
+
+def test_norms_refuse_mismatched_sizes():
+    with pytest.raises(ValueError):
+        pair_projector_norm_sq((2, 1), (2,), (2, 1))
+    with pytest.raises(ValueError):
+        pair_projector_norm_sq((2, 1), (2, 1), (4,))
+    with pytest.raises(ValueError):
+        lr_projector_norm_sq((3, 1), (2,), (1,))
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Record the arguments of every later call to kron_lr.<name>, one entry per call."""
+    calls = []
+    original = getattr(kron_lr, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kron_lr, name, wrapper)
+    return calls
+
+
+def test_each_coefficient_computed_once_per_size(monkeypatch):
+    kron_calls = counted(monkeypatch, "kronecker")
+    lr_calls = counted(monkeypatch, "lr_coefficient")
+    kron_labels.cache_clear()
+    lr_labels.cache_clear()
+    identity_pair_state(7).unit_amplitudes()
+    identity_lr_state(5, 5).unit_amplitudes()
+    assert len(kron_calls) == len(partitions(7)) ** 3 == 3375
+    assert len(lr_calls) == len(partitions(10)) * len(partitions(5)) ** 2 == 2058
 
 
 def test_ptilde_idempotent_n3():

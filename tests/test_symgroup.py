@@ -16,7 +16,6 @@ from projdetect.symgroup import (
     format_partition,
     parse_partition,
     partitions,
-    sum_of_dimensions,
 )
 
 
@@ -101,11 +100,11 @@ def test_class_size_examples():
 
 
 def test_sum_of_dimensions_equals_involution_count():
-    assert sum_of_dimensions(2) == 2
-    assert sum_of_dimensions(4) == 10
-    assert sum_of_dimensions(6) == 76
-    for n in range(1, 9):
-        assert sum_of_dimensions(n) == brute_involutions(n)
+    """Frobenius-Schur: every irrep of S_n is real, so sum_R d_R counts involutions."""
+    sums = {n: sum(dimension(rep) for rep in partitions(n)) for n in range(1, 9)}
+    assert (sums[2], sums[4], sums[6]) == (2, 10, 76)
+    for n, total in sums.items():
+        assert total == brute_involutions(n)
 
 
 def test_sign_character():
