@@ -30,6 +30,12 @@ from .symgroup import (
 
 SEED_ENV = "PROJDETECT_SEED"
 
+# Largest size whose table a command builds: n for chars and kron, m + n for
+# lr. At each cap the slowest build took at most 3.0 s on a 2-vCPU VM
+# (chars --n 18, kron --n 12, lr --m 0 --n 17), and one size more took 6 s
+# or longer. detect kron and detect lr build their size's table too.
+TABLE_CAPS = {"chars": 18, "kron": 12, "lr": 17}
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
@@ -92,6 +98,14 @@ def _lr_triple(args, parser: argparse.ArgumentParser):
             f"sizes of {args.triple!r} must be ({args.m + args.n}; {args.m}; {args.n})"
         )
     return triple
+
+
+def _table_preflight(args, parser: argparse.ArgumentParser, kind: str) -> None:
+    """Refuse, as a usage error, a table size past its cap in TABLE_CAPS."""
+    size = args.n + (args.m if kind == "lr" else 0)
+    if size > TABLE_CAPS[kind]:
+        flags = "--m + --n" if kind == "lr" else "--n"
+        parser.error(f"{flags} = {size} is past the {kind} table limit of {TABLE_CAPS[kind]}")
 
 
 def _checked(kind, ok, need: str):
@@ -231,16 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_chars(args, parser, out: str | None) -> int:
+    _table_preflight(args, parser, "chars")
     table = CharacterTable(args.n)
     if args.json:
         _emit(table.to_json(), out)
     elif args.csv:
         _emit(table.to_csv(), out)
     else:
-        lines = []
-        for r in table.labels:
-            row = " ".join(str(table.entries[(r, mu)]) for mu in table.labels)
-            lines.append(f"{format_partition(r) or '-'}: {row}")
+        lines = [
+            f"{format_partition(r) or '-'}: " + " ".join(map(str, row))
+            for r, row in zip(table.labels, table.matrix.tolist())
+        ]
         _emit("\n".join(lines), out)
     return 0
 
@@ -314,6 +329,8 @@ _PIPELINES = {
 def _cmd_detect(args, parser, out: str | None) -> int:
     label_arg, detect, describe = _PIPELINES[args.pipeline]
     label = label_arg(args, parser)
+    if args.pipeline in TABLE_CAPS:
+        _table_preflight(args, parser, args.pipeline)
     try:
         transcript = detect(label, _resolve_seed(args, parser))
     except ValueError as exc:
@@ -400,6 +417,7 @@ def _cmd_algebra(args, parser, out: str | None) -> int:
         else:
             _emit(str(value), out)
         return 0
+    _table_preflight(args, parser, args.command)
     labels = labels_of(*sizes.values())
     if args.table:
         rows = [(";".join(format_partition(p) for p in t), v) for t, v in labels.items()]

@@ -88,10 +88,11 @@ def round_unitary(parts, size: int, k: int) -> tuple[int, DiagonalUnitary]:
     """(t, U) for the T_k round: system component i carries parts[i]'s eigenvalue."""
     t = t_bits(size, k)
     bound = cycle_class_size(size, k)
-    unitary = DiagonalUnitary(
-        tuple(phase_encode(normalized_character(rep, k), bound, t) for rep in parts)
-    )
-    return t, unitary
+    phase = {
+        rep: phase_encode(normalized_character(rep, k), bound, t)
+        for rep in dict.fromkeys(parts)
+    }
+    return t, DiagonalUnitary(tuple(phase[rep] for rep in parts))
 
 
 def run_family(amps, parts, size: int, rng, counters: GateCounters):

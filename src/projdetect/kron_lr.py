@@ -5,9 +5,10 @@ products ptilde = Delta(P_R3)(P_R1 x P_R2) are orthogonal idempotents indexed
 by triples with nonzero Kronecker coefficient, and they resolve the identity
 1 x 1. In C[S_{m+n}], the products P_R emb(P_R1 x P_R2) do the same for
 triples with nonzero restriction (Littlewood-Richardson) coefficient. Both
-coefficients are computed exactly from characters, the LR one cross-checkable
-against the tableau rule, and both algebras admit the same phase-estimation
-detection as the centre, with one signature family per tensor slot.
+coefficient tables are contracted exactly from one character matrix per size
+and refereed by the per-triple class sums (and the LR one by the tableau
+rule), and both algebras admit the same phase-estimation detection as the
+centre, with one signature family per tensor slot.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .centre import LabelledState, signature_table
 from .detection import run_family
 from .qpe import GateCounters
 from .symgroup import (
+    CharacterTable,
     Partition,
     as_partition,
     centralizer_order,
@@ -57,16 +59,38 @@ def kronecker(r1: Partition, r2: Partition, r3: Partition) -> int:
     return q
 
 
+def _exact_table(triples, sums, divisor: int, what: str) -> MappingProxyType:
+    """{triple: sum // divisor} over the nonzero quotients, in the order given.
+
+    Each sum must be a nonnegative multiple of divisor; anything else can
+    only mean broken characters, so it raises.
+    """
+    table = {}
+    for t, acc in zip(triples, sums):
+        q, r = divmod(acc, divisor)
+        if r:
+            raise ArithmeticError(f"non-integral {what} sum for {t}")
+        if q < 0:
+            raise ArithmeticError(f"negative {what} value for {t}")
+        if q:
+            table[t] = q
+    return MappingProxyType(table)
+
+
 @cache
 def kron_labels(n: int) -> MappingProxyType[tuple[Partition, Partition, Partition], int]:
     """Nonzero Kronecker coefficients keyed by triple (R1, R2, R3), canonical order.
 
-    The one coefficient table of the tensor-square algebra: built once per n
-    by the per-triple formula, zeros left out, and read-only because every
-    caller in the process shares it.
+    The one coefficient table of the tensor-square algebra, contracted from
+    the character matrix X and class sizes w of S_n: the block of R1 is
+    X diag(w X[R1]) X^T / n!. Zeros are left out, and the table is built once
+    per n and read-only because every caller in the process shares it.
     """
-    triples = product(partitions(n), repeat=3)
-    return MappingProxyType({t: v for t in triples if (v := kronecker(*t))})
+    chars = CharacterTable(n)
+    x, w = chars.matrix, chars.class_sizes
+    sums = np.stack([(x * (w * row)) @ x.T for row in x])
+    triples = product(chars.labels, repeat=3)
+    return _exact_table(triples, sums.flat, factorial(n), "Kronecker")
 
 
 def ribbon_count(n: int) -> int:
@@ -284,11 +308,20 @@ def lr_coefficient_by_rule(rep: Partition, r1: Partition, r2: Partition) -> int:
 def lr_labels(m: int, n: int) -> MappingProxyType[tuple[Partition, Partition, Partition], int]:
     """Nonzero restriction coefficients keyed by triple (R, R1, R2), canonical order.
 
-    The one coefficient table of the restriction algebra, built and shared
-    as kron_labels is.
+    The one coefficient table of the restriction algebra, shared as
+    kron_labels is. The merged-class tensor Y[R, mu1, mu2] = chi^R(mu1 merge
+    mu2) w1[mu1] w2[mu2] is contracted with the S_n characters over mu2 and
+    then with the S_m characters over mu1, and divided by m! n!.
     """
-    triples = product(partitions(m + n), partitions(m), partitions(n))
-    return MappingProxyType({t: v for t in triples if (v := lr_coefficient(*t))})
+    whole, left, right = CharacterTable(m + n), CharacterTable(m), CharacterTable(n)
+    merged = [
+        [whole.index[tuple(sorted(mu1 + mu2, reverse=True))] for mu2 in right.labels]
+        for mu1 in left.labels
+    ]
+    y = whole.matrix[:, merged] * np.multiply.outer(left.class_sizes, right.class_sizes)
+    sums = left.matrix @ (y @ right.matrix.T)
+    triples = product(whole.labels, left.labels, right.labels)
+    return _exact_table(triples, sums.flat, factorial(m) * factorial(n), "restriction")
 
 
 def dim_A(m: int, n: int) -> int:

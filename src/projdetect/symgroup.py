@@ -3,7 +3,8 @@
 Everything here is integer-exact: partitions are plain tuples in
 reverse-lexicographic order, dimensions come from the hook length formula,
 and ordinary characters from the Murnaghan-Nakayama border-strip recursion.
-No floating point enters this module.
+No floating point enters this module: the character table's numpy arrays
+hold Python ints.
 """
 
 from collections import Counter
@@ -13,6 +14,8 @@ from math import factorial
 import csv
 import io
 import json
+
+import numpy as np
 
 Partition = tuple[int, ...]
 
@@ -85,6 +88,7 @@ def centralizer_order(mu: Partition) -> int:
     return z
 
 
+@cache
 def class_size(mu: Partition) -> int:
     """Number of permutations with cycle type mu: n!/z_mu."""
     n = sum(mu)
@@ -194,10 +198,13 @@ def normalized_character_exact(rep: Partition, k: int) -> int:
 
 
 class CharacterTable:
-    """Full character table of S_n with exact integer entries.
+    """Full character table of S_n as one exact integer matrix.
 
-    Rows and columns are both indexed by partitions of n in canonical
-    (reverse-lexicographic) order; entry (R, mu) is chi^R on class mu.
+    Rows (diagrams) and columns (classes) are both indexed by partitions of
+    n in canonical (reverse-lexicographic) order. `matrix` is the p(n) x p(n)
+    numpy object array X of Python ints with X[R, mu] = chi^R(mu), and
+    `class_sizes` is the object vector w of |C_mu| in column order, so that
+    sum(w) == n!. Object arrays keep every product exact at any n.
     """
 
     def __init__(self, n: int):
@@ -205,19 +212,21 @@ class CharacterTable:
             raise ValueError("n must be nonnegative")
         self.n = n
         self.labels = partitions(n)
-        self.entries = {
-            (r, mu): character(r, mu) for r in self.labels for mu in self.labels
-        }
+        self.index = {p: i for i, p in enumerate(self.labels)}
+        self.matrix = np.array(
+            [[character(r, mu) for mu in self.labels] for r in self.labels], dtype=object
+        )
+        self.class_sizes = np.array([class_size(mu) for mu in self.labels], dtype=object)
 
     def chi(self, rep: Partition, mu: Partition) -> int:
-        return self.entries[(as_partition(rep), as_partition(mu))]
+        return self.matrix[self.index[as_partition(rep)], self.index[as_partition(mu)]]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["rep"] + [format_partition(mu) for mu in self.labels])
-        for r in self.labels:
-            w.writerow([format_partition(r)] + [self.entries[(r, mu)] for mu in self.labels])
+        for r, row in zip(self.labels, self.matrix.tolist()):
+            w.writerow([format_partition(r)] + row)
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -227,8 +236,8 @@ class CharacterTable:
                 "n": self.n,
                 "classes": [format_partition(mu) for mu in self.labels],
                 "rows": {
-                    format_partition(r): [self.entries[(r, mu)] for mu in self.labels]
-                    for r in self.labels
+                    format_partition(r): row
+                    for r, row in zip(self.labels, self.matrix.tolist())
                 },
             },
             sort_keys=True,

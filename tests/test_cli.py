@@ -103,6 +103,14 @@ def test_unknown_subcommand_usage_error(capsys):
         "kstar --n-max 1",
         "holo cutoff-table --n-max 0",
         "report --n-max -1",
+        "chars --n 19",
+        "chars --n 40",
+        "kron --n 13",
+        "kron --n 13 --table",
+        "lr --m 9 --n 9",
+        "lr --m 0 --n 18 --table",
+        "detect kron --n 13 --triple 13;13;13",
+        "detect lr --m 9 --n 9 --triple 18;9;9",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -112,6 +120,32 @@ def test_out_of_range_flag_usage_error(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert "usage:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        ("chars --n 19", "--n = 19 is past the chars table limit of 18"),
+        ("kron --n 13 --json", "--n = 13 is past the kron table limit of 12"),
+        ("lr --m 10 --n 8 --table", "--m + --n = 18 is past the lr table limit of 17"),
+        (
+            "detect lr --m 9 --n 9 --triple 18;9;9",
+            "--m + --n = 18 is past the lr table limit of 17",
+        ),
+    ],
+)
+def test_table_cap_names_its_limit(capsys, argv, limit):
+    code, out, err = invoke(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "limit" in line] == [
+        f"projdetect: error: {limit}"
+    ]
+
+
+def test_single_coefficient_is_not_capped(capsys):
+    assert invoke(capsys, "kron", "--n", "13", "--triple", "13;13;13") == (0, "1\n", "")
+    assert invoke(capsys, "lr", "--m", "9", "--n", "9", "--triple", "18;9;9") == (0, "1\n", "")
 
 
 def test_detect_failure_exit_one(capsys):

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from projdetect import kron_lr
+from projdetect import kron_lr, symgroup
 from projdetect.groupalgebra import delta
 from projdetect.kron_lr import (
     LrState,
@@ -20,6 +20,7 @@ from projdetect.kron_lr import (
     kron_projector_brute,
     kronecker,
     lr_coefficient,
+    lr_coefficient_by_rule,
     lr_detect,
     lr_labels,
     lr_projector_brute,
@@ -30,7 +31,7 @@ from projdetect.kron_lr import (
     pair_projector_state,
     ribbon_count,
 )
-from projdetect.symgroup import dimension, partitions
+from projdetect.symgroup import conjugate, dimension, partitions
 
 
 def test_kronecker_symmetry_and_values():
@@ -46,7 +47,7 @@ def test_kronecker_symmetry_and_values():
 
 
 def test_kron_table_holds_every_nonzero_coefficient():
-    for n in range(7):
+    for n in range(9):
         table = kron_labels(n)
         coeffs = {t: kronecker(*t) for t in product(partitions(n), repeat=3)}
         assert all(table.get(t, 0) == v for t, v in coeffs.items())
@@ -60,7 +61,7 @@ def test_kron_table_holds_every_nonzero_coefficient():
 
 
 def test_lr_table_holds_every_nonzero_coefficient():
-    for total in range(9):
+    for total in range(11):
         for m in range(total + 1):
             n = total - m
             table = lr_labels(m, n)
@@ -101,14 +102,72 @@ def counted(monkeypatch, name: str) -> list:
 
 
 def test_each_coefficient_computed_once_per_size(monkeypatch):
+    """The tables are contracted, not summed per triple, and built once per size."""
     kron_calls = counted(monkeypatch, "kronecker")
     lr_calls = counted(monkeypatch, "lr_coefficient")
     kron_labels.cache_clear()
     lr_labels.cache_clear()
     identity_pair_state(7).unit_amplitudes()
     identity_lr_state(5, 5).unit_amplitudes()
-    assert len(kron_calls) == len(partitions(7)) ** 3 == 3375
-    assert len(lr_calls) == len(partitions(10)) * len(partitions(5)) ** 2 == 2058
+    assert kron_calls == lr_calls == []
+    assert kron_labels.cache_info().misses == 1
+    assert lr_labels.cache_info().misses == 1
+
+
+def test_tables_past_the_loop_obey_sum_rules_and_symmetries():
+    """Where the per-triple loop is too slow to referee every entry."""
+    for n in (9, 10):
+        table = kron_labels(n)
+        parts = partitions(n)
+        for a in parts:
+            for b in parts:
+                assert sum(table.get((a, b, c), 0) * dimension(c) for c in parts) == (
+                    dimension(a) * dimension(b)
+                )
+        for (a, b, c), v in table.items():
+            assert table.get((b, a, c)) == table.get((c, b, a)) == table.get((a, c, b)) == v
+            assert table.get((conjugate(a), conjugate(b), c)) == v
+    for total in range(11, 15):
+        for m in range(total + 1):
+            n = total - m
+            table, swapped = lr_labels(m, n), lr_labels(n, m)
+            for r1 in partitions(m):
+                for r2 in partitions(n):
+                    induced = sum(
+                        table.get((rep, r1, r2), 0) * dimension(rep)
+                        for rep in partitions(total)
+                    )
+                    assert induced == comb(total, m) * dimension(r1) * dimension(r2)
+            for (rep, r1, r2), v in table.items():
+                assert swapped.get((rep, r2, r1)) == v
+                assert table.get((conjugate(rep), conjugate(r1), conjugate(r2))) == v
+    for label in [
+        ((4, 3, 2, 1), (3, 2, 1), (2, 1, 1)),
+        ((4, 3, 2, 1, 1, 1), (3, 2, 1), (3, 2, 1)),
+        ((6, 4, 2, 1), (4, 2, 1), (3, 2, 1)),
+        ((5, 3, 3, 2, 1), (4, 2, 1, 1), (3, 2, 1)),
+        ((5, 4, 3, 2), (4, 2, 1), (3, 2, 1, 1)),
+    ]:
+        rep, r1, r2 = label
+        assert lr_labels(sum(r1), sum(r2))[label] == lr_coefficient_by_rule(*label) > 1
+
+
+def test_tables_refuse_inexact_characters(monkeypatch):
+    """A single wrong character value breaks divisibility, and both builders raise."""
+    original = symgroup.character
+
+    def broken(rep, mu):
+        return original(rep, mu) + (rep == (4,) and mu == (1, 1, 1, 1))
+
+    monkeypatch.setattr(symgroup, "character", broken)
+    kron_labels.cache_clear()
+    lr_labels.cache_clear()
+    with pytest.raises(ArithmeticError):
+        kron_labels(4)
+    with pytest.raises(ArithmeticError):
+        lr_labels(2, 2)
+    kron_labels.cache_clear()
+    lr_labels.cache_clear()
 
 
 def test_ptilde_idempotent_n3():
