@@ -144,12 +144,12 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def _finish_leaf(p: argparse.ArgumentParser, handler, csv_too: bool = True) -> None:
-    """Add a leaf command's output flags and the handler that run() calls."""
+    """Add a leaf command's output flags, and the handler and parser that run() uses."""
     p.add_argument("--json", action="store_true", help="emit JSON")
     if csv_too:
         p.add_argument("--csv", action="store_true", help="emit CSV")
     p.add_argument("--out", default=None, help="write output to this path")
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, parser=p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,7 +603,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, parser, args.out)
+        return args.handler(args, args.parser, args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -313,7 +313,8 @@ def lr_labels(m: int, n: int) -> MappingProxyType[tuple[Partition, Partition, Pa
     mu2) w1[mu1] w2[mu2] is contracted with the S_n characters over mu2 and
     then with the S_m characters over mu1, and divided by m! n!.
     """
-    whole, left, right = CharacterTable(m + n), CharacterTable(m), CharacterTable(n)
+    tables = {size: CharacterTable(size) for size in {m + n, m, n}}
+    whole, left, right = tables[m + n], tables[m], tables[n]
     merged = [
         [whole.index[tuple(sorted(mu1 + mu2, reverse=True))] for mu2 in right.labels]
         for mu1 in left.labels

@@ -75,6 +75,7 @@ def test_size_mismatch_usage_error(capsys):
     code, _, err = invoke(capsys, "detect", "zcsn", "--n", "6", "--r", "3,2")
     assert code == 2
     assert "does not match" in err
+    assert err.startswith("usage: projdetect detect zcsn ")
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -119,7 +120,7 @@ def test_out_of_range_flag_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert "usage:" in err
+    assert err.startswith(f"usage: projdetect {argv.split(' --')[0]} ")
 
 
 @pytest.mark.parametrize(
@@ -138,8 +139,9 @@ def test_table_cap_names_its_limit(capsys, argv, limit):
     code, out, err = invoke(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert "Traceback" not in err
+    command = argv.split(" --")[0]
     assert [line for line in err.splitlines() if "limit" in line] == [
-        f"projdetect: error: {limit}"
+        f"projdetect {command}: error: {limit}"
     ]
 
 

@@ -1,7 +1,9 @@
 """Exact group algebra arithmetic and the orbit-sum bases."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from itertools import product
 
 import pytest
 
@@ -25,7 +27,7 @@ from projdetect.groupalgebra import (
     tensor,
 )
 from projdetect.centre import cycle_class_size, normalized_character
-from projdetect.kron_lr import dim_A, ribbon_count
+from projdetect.kron_lr import dim_A, kron_labels, kron_projector_brute, ribbon_count
 from projdetect.symgroup import centralizer_order, class_size, partitions
 
 
@@ -45,18 +47,77 @@ def test_canonical_permutation_types():
             assert len(list(permutations_of_type(n, mu))) == class_size(mu)
 
 
-def test_dense_and_sparse_products_agree():
-    """The scaled-integer dense path must reproduce the sparse convolution."""
-    n = 4
-    a = projector_element((2, 2))
-    b = cycle_class_sum(n, 3)
-    dense = a * b
-    sparse_out: dict = {}
+def sparse_product(a, b) -> dict:
+    """The convolution by definition, one key pair at a time: the product's referee."""
+    out: dict = {}
     for ka, va in a.data.items():
         for kb, vb in b.data.items():
-            k = (compose(ka[0], kb[0]),)
-            sparse_out[k] = sparse_out.get(k, 0) + va * vb
-    assert dense == GroupAlgebraElement(n, sparse_out)
+            k = tuple(compose(x, y) for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def graded(degrees, start: int) -> GroupAlgebraElement:
+    """A non-central element: distinct coefficients on every third group element."""
+    pools = [list(iter_permutations(range(d))) for d in degrees]
+    keys = [tuple(t) for t in product(*pools)]
+    return GroupAlgebraElement(
+        degrees, {k: Fraction(start + i, 7 + i) for i, k in enumerate(keys[::3])}
+    )
+
+
+def test_dense_and_sparse_products_agree():
+    """The scaled-integer dense product must reproduce the sparse convolution."""
+    big = 2**40
+    pair_33 = [kron_projector_brute((2, 1), (2, 1), rep) for rep in partitions(3)]
+    cases = [
+        (projector_element((2, 2)), cycle_class_sum(4, 3)),
+        (identity_element(4), cycle_class_sum(4, 2)),
+        (cycle_class_sum(5, 2), cycle_class_sum(5, 3)),
+        (
+            tensor(projector_element((1, 1)), cycle_class_sum(3, 2)),
+            tensor(cycle_class_sum(2, 2), projector_element((2, 1))),
+        ),
+        (graded((2, 3), 1), graded((2, 3), -5)),
+        (graded((3, 2), 2), graded((3, 2), 3)),
+        (pair_33[1], pair_33[1]),
+        (pair_33[1], pair_33[2]),
+        (pair_33[0] + pair_33[2], pair_33[2]),
+        (GroupAlgebraElement(4), cycle_class_sum(4, 2)),
+        (cycle_class_sum(4, 2), GroupAlgebraElement(4)),
+        (big * cycle_class_sum(4, 2), big * projector_element((3, 1))),
+    ]
+    for a, b in cases:
+        assert (a * b).data == sparse_product(a, b)
+    wide_a, wide_b = cases[-1]
+    # This case overflows int64 unless the product falls back to object.
+    assert max(abs(v) for v in (wide_a * wide_b).data.values()) > 2**63
+
+
+def test_product_refuses_non_rational_coefficients():
+    t2 = cycle_class_sum(3, 2)
+    with pytest.raises(TypeError, match="rational"):
+        (1j * t2) * t2
+    with pytest.raises(TypeError, match="rational"):
+        t2 * (0.5 * t2)
+
+
+def test_pair_product_reaches_n5():
+    """Products in C[S_5 x S_5] (|G| = 14400) hold no |G|^2 table."""
+    trivial, other = ((5,), (5,), (5,)), ((3, 1, 1),) * 3
+    assert trivial in kron_labels(5) and other in kron_labels(5)
+    tracemalloc.start()
+    try:
+        p = kron_projector_brute(*trivial)
+        square = p * p
+        cross = kron_projector_brute(*other) * p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.support_size() == 14400
+    assert square == p
+    assert cross.support_size() == 0
+    assert peak < 64 << 20
 
 
 def test_class_sums_commute():

@@ -2,8 +2,9 @@
 
 Both the package modules and the test files are checked.  The package's
 `__init__.py` is left out because its imports are the package's exports.
-The benchmark's tracer names library functions by module and attribute
-path; those names must keep resolving.
+No private or UPPER_CASE module-level name in the package may go unread by
+every package module.  The benchmark's tracer names library functions by
+module and attribute path; those names must keep resolving.
 """
 
 import ast
@@ -45,6 +46,51 @@ def test_detector_catches_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_module_names(sources: dict[str, str]) -> list[str]:
+    """Private or UPPER_CASE module-level names that no module of sources reads.
+
+    A name counts as read where any module loads it by name or as an
+    attribute. Dunders are exempt.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}: {name}"
+        for module, name in defined
+        if (name.startswith("_") or name.isupper())
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+    ]
+
+
+def test_detector_catches_an_unread_module_name():
+    sources = {
+        "a": "_used = 1\n_unused = 2\nLIMIT = 3\nSPARE = 4\nSTALE: int = 5\n"
+        "__version__ = '1'\ndef _helper():\n    return _used + LIMIT\n",
+        "b": "import a\nprint(a.SPARE)\n",
+    }
+    assert unread_module_names(sources) == ["a: _unused", "a: STALE", "a: _helper"]
+
+
+def test_no_unread_module_names():
+    package = Path(projdetect.__file__).parent
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    assert unread_module_names(sources) == []
 
 
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"

@@ -114,6 +114,24 @@ def test_each_coefficient_computed_once_per_size(monkeypatch):
     assert lr_labels.cache_info().misses == 1
 
 
+def test_lr_labels_builds_one_character_table_per_size(monkeypatch):
+    """m == n and m == 0 share a character table instead of building it twice."""
+    built = []
+    init = symgroup.CharacterTable.__init__
+
+    def counting(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(symgroup.CharacterTable, "__init__", counting)
+    for (m, n), sizes in {(3, 3): [3, 6], (0, 5): [0, 5]}.items():
+        lr_labels.cache_clear()
+        built.clear()
+        lr_labels(m, n)
+        assert sorted(built) == sizes
+    lr_labels.cache_clear()
+
+
 def test_tables_past_the_loop_obey_sum_rules_and_symmetries():
     """Where the per-triple loop is too slow to referee every entry."""
     for n in (9, 10):
