@@ -39,10 +39,10 @@ def normalized_character(rep: Partition, k: int) -> int:
     return normalized_character_exact(as_partition(rep), k)
 
 
-def content_sum(rep: Partition) -> int:
-    """Sum of j - i over diagram cells (i, j), rows and columns 0-based."""
+def content_sum(rep: Partition, power: int = 1) -> int:
+    """p_power: the sum of (j - i)**power over diagram cells (i, j), 0-based."""
     rep = as_partition(rep)
-    return sum(j - i for i, r in enumerate(rep) for j in range(r))
+    return sum(c**power for i, r in enumerate(rep) for c in range(-i, r - i))
 
 
 def chi_max(n: int, k: int) -> int:
@@ -103,30 +103,37 @@ def signature_table_csv(n: int) -> str:
 def k_star(n: int) -> int:
     """Least K with (T_2..T_K) eigenvalues distinct across diagrams.
 
-    Group refinement keeps the work lazy: a T_k column is only evaluated for
-    diagrams still sharing a prefix with something else. Always at least 2;
-    bounded by n because the full set of cycle class sums generates the centre.
+    Computed without one eigenvalue, from the content power sums
+    p_j = content_sum(rep, j): (T_2..T_K) separates exactly where
+    (p_1..p_{K-1}) does, because T_k = p_{k-1} + f_k(n, p_1..p_{k-2}) for a
+    polynomial f_k. Proof sketch: by Frobenius' formula in contents,
+        T_k = -k^-2 [w^-1] w(w-1)...(w-k+1)
+              prod_cells (w-c-k)(w-c+1) / ((w-c-k+1)(w-c)).
+    The log of the product's cell factor, expanded in 1/w, has w^-m term
+    -(1/m) [(c+k)^m - (c+k-1)^m - c^m + (c-1)^m], a second difference of
+    c^m of degree m-2 in c. So p_j first appears in the w^-(j+2) term, and
+    p_{k-1} reaches [w^-1] only through m = k+1, linearly and with
+    coefficient -k^2 before the -k^-2 prefactor; everything else is a
+    polynomial in n and lower p_j. Group refinement keeps the work lazy: p_K
+    is only summed for diagrams still sharing a prefix with something else.
+    k*(1) = 1, since one diagram is separated by the empty prefix; for
+    n >= 2, 2 <= k*(n) <= n because the cycle class sums generate the centre.
     """
-    if n < 2:
-        raise ValueError("cutoff needs n >= 2")
-    groups: list[list[Partition]] = [list(partitions(n))]
-    k = 1
-    while True:
+    if n < 1:
+        raise ValueError("cutoff needs n >= 1")
+    k, groups = 1, [partitions(n)]
+    while groups := [g for g in groups if len(g) > 1]:
         k += 1
         if k > n:
             raise AssertionError(f"no separating prefix up to T_{n} for n={n}")
         refined: list[list[Partition]] = []
         for group in groups:
-            if len(group) == 1:
-                refined.append(group)
-                continue
             buckets: dict[int, list[Partition]] = {}
             for rep in group:
-                buckets.setdefault(normalized_character(rep, k), []).append(rep)
+                buckets.setdefault(content_sum(rep, k - 1), []).append(rep)
             refined.extend(buckets.values())
         groups = refined
-        if all(len(g) == 1 for g in groups):
-            return k
+    return k
 
 
 def k_star_growth_report(n_max: int) -> list[dict]:

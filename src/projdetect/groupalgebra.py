@@ -211,8 +211,11 @@ class GroupAlgebraElement:
         for k, v in ints_a.items():
             acc[_left_rows(k)] += v * b_vec
         den = den_a * den_b
-        out = {elems[i]: Fraction(int(acc[i]), den) for i in np.nonzero(acc)[0]}
-        return GroupAlgebraElement(self.degrees, out)
+        # keys come from the group index and values are nonzero: skip __init__
+        out = object.__new__(GroupAlgebraElement)
+        out.degrees = self.degrees
+        out.data = {elems[i]: Fraction(int(acc[i]), den) for i in np.nonzero(acc)[0]}
+        return out
 
     def antipode(self) -> "GroupAlgebraElement":
         """Linear extension of g -> g^{-1}; coefficients are not conjugated."""

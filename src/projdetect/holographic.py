@@ -36,6 +36,7 @@ import cmath
 import numpy as np
 from numpy.polynomial import legendre
 
+from .centre import k_star
 from .symgroup import Partition, as_partition, partitions
 
 RESIDUAL_LIMIT = 0.5
@@ -435,29 +436,33 @@ def fermions_from_moments(m_values) -> FermionConfig:
 
 @cache
 def moment_table(n: int, capital_n: int) -> MappingProxyType[tuple[int, ...], Partition]:
-    """Map (M_1..M_K) to the diagram of n producing it at this fermion count.
+    """Map (M_1..M_K) at K = k_star(n) to the diagram of n producing it.
 
-    K is the least cutoff >= 1 with the prefixes distinct across diagrams of
-    n; K = N always suffices, since M_1..M_N determine the N energies
-    outright and the energies determine the diagram. Built once per (n, N)
-    and read-only because every caller in the process shares it.
+    Each cell with content c adds (N+c)^k - (N+c-1)^k to M_k over the empty
+    diagram's M_k, a degree k-1 polynomial in c with leading coefficient k,
+    so M_k is p_{k-1} times k plus terms in N, n and lower content power
+    sums. (M_1..M_K) therefore separates the diagrams exactly where
+    (p_1..p_{K-1}) does, which is where (T_2..T_K) does: K = k_star(n),
+    whatever N > n. Built once per (n, N) and read-only because every caller
+    in the process shares it; a shared key means that argument or the
+    moments are broken, and it raises rather than returns.
     """
     if capital_n <= n:
         raise ValueError("need more fermions than boxes")
     if n < 1:
         raise ValueError("need n >= 1")
-    vectors = {
-        rep: moments(fermion_config(rep, capital_n), capital_n)[1:] for rep in partitions(n)
-    }
-    for k in range(1, capital_n + 1):
-        table = {tuple(v[:k]): rep for rep, v in vectors.items()}
-        if len(table) == len(vectors):
-            return MappingProxyType(table)
-    raise AssertionError("full moment vectors failed to separate diagrams")
+    cutoff = k_star(n)
+    table: dict[tuple[int, ...], Partition] = {}
+    for rep in partitions(n):
+        key = tuple(moments(fermion_config(rep, capital_n), cutoff)[1:])
+        if key in table:
+            raise ArithmeticError(f"{table[key]} and {rep} share moments {key} at N={capital_n}")
+        table[key] = rep
+    return MappingProxyType(table)
 
 
 def moment_cutoff(n: int, capital_n: int) -> int:
-    """Least K >= 1 with (M_1..M_K) distinct across diagrams of n: the table's key length."""
+    """The moment table's key length: the least K >= 1 with (M_1..M_K) distinct, k_star(n)."""
     return len(next(iter(moment_table(n, capital_n))))
 
 
@@ -522,13 +527,13 @@ def holographic_roundtrip(
 
 
 def cutoff_comparison_table(n_max: int) -> list[dict]:
-    """Rows (n, moment_cutoff at N = n+1, k_star) for side-by-side reading.
+    """Rows (n, moment_cutoff at N = n+1, k_star), equal in every row.
 
-    The two cutoffs answer analogous questions in different pipelines; the
-    table reports them without asserting any relation.
+    Both cutoffs are the separating length of the content power sums: T_k
+    and M_k are each triangular in p_{k-1} over n, N and lower p_j (see
+    k_star and moment_table), so the two columns agree for every n and
+    every N > n. The table shows the two pipelines reading the same number.
     """
-    from .centre import k_star
-
     rows = []
     for n in range(2, n_max + 1):
         rows.append(

@@ -1,5 +1,7 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
+The frozen k* table below has its own checks, outside the criteria.
+
 Every criterion must pass at the stated tolerances. A reference value here
 changes only together with a proof, written next to the assertion that
 checks it, that the old value was wrong.
@@ -36,12 +38,37 @@ for _n in (2, 3, 4, 5, 7):
     EXPECTED_KSTAR[_n] = 2
 for _n in (6, *range(8, 15)):
     EXPECTED_KSTAR[_n] = 3
-for _n in (*range(15, 24), 25, 26):
+for _n in (*range(15, 24), 25, 26, 29):
     EXPECTED_KSTAR[_n] = 4
-for _n in (24, *range(27, 42)):
+for _n in (24, 27, 28, *range(30, 42)):
     EXPECTED_KSTAR[_n] = 5
 for _n in (*range(42, 80), 81):
     EXPECTED_KSTAR[_n] = 6
+
+
+def test_kstar_29_by_murnaghan_nakayama():
+    """k*(29) = 4; the table once put 29 in the k* = 5 group.
+
+    Proof by a third route, neither beta-number eigenvalues nor contents:
+    T_k = |C_k| chi(k-cycle)/d from Murnaghan-Nakayama characters. The
+    prefix (T_2, T_3, T_4) separates all 4565 diagrams of 29, while
+    (T_2, T_3) leaves fewer classes than diagrams, so the least separating
+    K is 4.
+    """
+    reps = partitions(29)
+    cols = [
+        [Fraction(cycle_class_size(29, k) * character(rep, (k,) + (1,) * (29 - k)), dimension(rep))
+         for rep in reps]
+        for k in (2, 3, 4)
+    ]
+    assert len(reps) == len(set(zip(*cols))) == 4565
+    assert len(set(zip(*cols[:2]))) == 4273
+    assert EXPECTED_KSTAR[29] == k_star(29) == 4
+
+
+def test_kstar_frozen_rows_27_to_41():
+    """Criterion 1 checks 2..26 and 42; this covers the rows between."""
+    assert {n: k_star(n) for n in range(27, 42)} == {n: EXPECTED_KSTAR[n] for n in range(27, 42)}
 
 
 def test_criterion_01_kstar_table():

@@ -4,9 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projdetect import centre
 from projdetect.centre import (
     CentreState,
     chi_max,
@@ -21,7 +23,7 @@ from projdetect.centre import (
     signature_table_csv,
     structure_constants,
 )
-from projdetect.symgroup import class_size, dimension, partitions
+from projdetect.symgroup import class_size, conjugate, dimension, partitions
 
 
 def test_cycle_class_size_examples():
@@ -83,11 +85,99 @@ def test_signature_table_resolves_at_kstar():
             assert signature(rep, k_star(n)) == sig
 
 
+KSTAR_ROWS = {1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 3, 7: 2, 8: 3, 9: 3, 10: 3,
+              11: 3, 12: 3, 13: 3, 14: 3, 15: 4}
+
+
 def test_kstar_frozen_rows():
-    expected = {2: 2, 3: 2, 4: 2, 5: 2, 6: 3, 7: 2, 8: 3, 9: 3, 10: 3,
-                11: 3, 12: 3, 13: 3, 14: 3, 15: 4}
-    for n, k in expected.items():
+    for n, k in KSTAR_ROWS.items():
         assert k_star(n) == k
+
+
+def test_kstar_needs_a_diagram():
+    with pytest.raises(ValueError):
+        k_star(0)
+
+
+def test_kstar_evaluates_no_eigenvalue(monkeypatch):
+    """k_star reads content power sums only; the beta route may be broken."""
+
+    def broken(rep, k):
+        raise AssertionError("k_star evaluated an eigenvalue")
+
+    monkeypatch.setattr(centre, "normalized_character_exact", broken)
+    k_star.cache_clear()
+    try:
+        with pytest.raises(AssertionError):
+            normalized_character((2, 1), 2)
+        for n in range(1, 13):
+            assert k_star(n) == KSTAR_ROWS[n]
+    finally:
+        k_star.cache_clear()
+
+
+def test_eigenvalue_triangular_in_content_power_sums():
+    """T_k - p_{k-1} is a function of n and p_1..p_{k-2} alone.
+
+    This is the theorem behind k_star: equal (p_1..p_{K-1}) prefixes and
+    equal (T_2..T_K) prefixes split the diagrams of n at the same K.
+    """
+    for n in range(2, 15):
+        for k in range(2, min(n, 8) + 1):
+            rest_by_prefix = {}
+            for rep in partitions(n):
+                prefix = tuple(content_sum(rep, j) for j in range(1, k - 1))
+                rest = normalized_character(rep, k) - content_sum(rep, k - 1)
+                assert rest_by_prefix.setdefault(prefix, rest) == rest, (n, k, rep)
+
+
+def _frobenius_content_eigenvalue(rep, k):
+    """T_k = -k^-2 [w^-1] w(w-1)..(w-k+1) prod_cells (w-c-k)(w-c+1)/((w-c-k+1)(w-c)).
+
+    With x = 1/w the right side is w^k times a power series Q(x), Q(0) = 1,
+    so [w^-1] is the x^(k+1) coefficient of Q.
+    """
+    deg = k + 1
+    q = [1] + [0] * deg
+
+    def times(a):  # q *= 1 - a x
+        for i in range(deg, 0, -1):
+            q[i] -= a * q[i - 1]
+
+    def over(a):  # q /= 1 - a x
+        for i in range(1, deg + 1):
+            q[i] += a * q[i - 1]
+
+    for j in range(k):
+        times(j)
+    for i, r in enumerate(rep):
+        for c in range(-i, r - i):
+            times(c + k)
+            times(c - 1)
+            over(c + k - 1)
+            over(c)
+    return Fraction(-q[deg], k * k)
+
+
+def test_frobenius_content_formula():
+    """The formula in k_star's proof sketch gives the beta-route eigenvalues."""
+    for n in range(2, 11):
+        for rep in partitions(n):
+            for k in range(2, n + 1):
+                assert _frobenius_content_eigenvalue(rep, k) == normalized_character(rep, k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=20), st.data(), st.integers(min_value=0, max_value=7))
+def test_content_sum_under_conjugation(n, data, power):
+    """Transposing a diagram negates every content, so p_e picks up (-1)^e."""
+    rep = data.draw(st.sampled_from(partitions(n)))
+    assert content_sum(conjugate(rep), power) == (-1) ** power * content_sum(rep, power)
+
+
+def test_content_sum_powers():
+    assert [content_sum((3, 1), e) for e in range(4)] == [4, 2, 6, 8]
+    assert (content_sum((1,), 0), content_sum((1,))) == (1, 0)
 
 
 def test_kstar_growth_report_shape():

@@ -120,6 +120,19 @@ def test_pair_product_reaches_n5():
     assert peak < 64 << 20
 
 
+def test_keys_checked_at_entry_points():
+    """Caller keys are validated; a product's keys come from the group index."""
+    t2 = cycle_class_sum(3, 2)
+    with pytest.raises(ValueError, match="bad group element"):
+        GroupAlgebraElement(3, {(0, 0, 1): 1})
+    with pytest.raises(ValueError, match="bad group element"):
+        t2.coefficient((0, 1))
+    square = t2 * t2
+    assert square == GroupAlgebraElement(3, square.data)
+    assert square.coefficient((0, 1, 2)) == 3
+    assert square.coefficient((1, 2, 0)) == 3
+
+
 def test_class_sums_commute():
     n = 4
     t2 = cycle_class_sum(n, 2)

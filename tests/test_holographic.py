@@ -223,12 +223,42 @@ def test_roundtrip_reports_ops():
     assert result["casimirs_in"] == result["casimirs_out"]
 
 
-def test_cutoff_comparison_reported_not_asserted():
+def test_cutoff_comparison_columns_agree():
     rows = cutoff_comparison_table(8)
     assert [r["n"] for r in rows] == list(range(2, 9))
     for row in rows:
-        assert row["moment_cutoff"] >= 1
-        assert row["k_star"] == k_star(row["n"])
+        assert row["moment_cutoff"] == row["k_star"] == k_star(row["n"])
+
+
+def test_moment_shift_is_a_sum_over_cells():
+    """M_k(rep, N) - M_k(empty, N) = sum over cells of (N+c)^k - (N+c-1)^k.
+
+    Adding a cell of content c moves one fermion from N+c-1 to N+c.
+    """
+    for n in range(1, 11):
+        for capital_n in (n + 1, n + 2, 2 * n + 1):
+            empty = moments(fermion_config((), capital_n), 7)
+            for rep in partitions(n):
+                got = moments(fermion_config(rep, capital_n), 7)
+                cells = [j - i for i, r in enumerate(rep) for j in range(r)]
+                for k in range(8):
+                    shift = sum((capital_n + c) ** k - (capital_n + c - 1) ** k for c in cells)
+                    assert got[k] - empty[k] == shift, (rep, capital_n, k)
+
+
+def test_moment_cutoff_is_kstar():
+    """The least separating moment prefix, searched over all N moments, is k*(n)."""
+    for n in range(1, 15):
+        for capital_n in (n + 1, n + 2, 2 * n + 1):
+            vectors = [
+                moments(fermion_config(rep, capital_n), capital_n)[1:] for rep in partitions(n)
+            ]
+            least = next(
+                cut
+                for cut in range(1, capital_n + 1)
+                if len({tuple(v[:cut]) for v in vectors}) == len(vectors)
+            )
+            assert moment_cutoff(n, capital_n) == least == k_star(n), (n, capital_n)
 
 
 def test_complexity_cases():
