@@ -199,7 +199,7 @@ def sample_budget(epsilon_sq, delta: float = 0.05) -> tuple[int, int]:
         raise ValueError("delta must lie in (0, 1)")
     if epsilon_sq <= 0:
         raise ValueError("epsilon must be positive")
-    r = MEANS_FACTOR * ceil(log(1 / delta))
+    r = MEANS_FACTOR * ceil(-log(delta))  # 1 / delta overflows for a subnormal delta
     s = ceil(SAMPLES_NUMERATOR / Fraction(epsilon_sq))
     return r, s
 

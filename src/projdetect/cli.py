@@ -9,24 +9,22 @@ are written comma-joined ("3,2,1"), triples semicolon-joined
 ("3,1;2,2;2,1,1"). Exit codes: 0 success, 1 detection failure, 2 usage error.
 
 The default seed is 0; the environment variable PROJDETECT_SEED overrides it
-when --seed is not given explicitly, and a non-integer value of it is a usage
-error.
+when --seed is not given explicitly. A negative seed, a non-integer or negative
+PROJDETECT_SEED, a table past TABLE_CAPS and a holo --lambda past LAMBDA_CAP are
+usage errors. Each handler returns (exit code, output text or None), and run()
+alone writes that text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import centre, classical, detection, holographic, kron_lr
-from .symgroup import (
-    CharacterTable,
-    format_partition,
-    parse_partition,
-    partitions,
-)
+from .symgroup import CharacterTable, format_partition, parse_partition, partitions
 
 SEED_ENV = "PROJDETECT_SEED"
 
@@ -36,9 +34,26 @@ SEED_ENV = "PROJDETECT_SEED"
 # or longer. detect kron and detect lr build their size's table too.
 TABLE_CAPS = {"chars": 18, "kron": 12, "lr": 17}
 
+# Largest --lambda of the holo commands. holo cost --lambda 125 took 2.5 s on
+# the same VM; at 126 a Casimir sum A_l overflows a float after as long, and
+# holo roundtrip --lambda 600 took 6.8 s to fail.
+LAMBDA_CAP = 125
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+
+def _json(obj: dict) -> str:
+    """obj as JSON text, keys sorted, under the top-level "schema": "1"."""
+    return json.dumps({"schema": "1", **obj}, sort_keys=True)
+
+
+def _csv(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _pick(args, text: str, data: dict, csv: str | None = None) -> str:
+    """The rendering that args asks for: JSON of data, then csv, then text."""
+    if args.json:
+        return _json(data)
+    return csv if csv is not None and args.csv else text
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -108,6 +123,12 @@ def _table_preflight(args, parser: argparse.ArgumentParser, kind: str) -> None:
         parser.error(f"{flags} = {size} is past the {kind} table limit of {TABLE_CAPS[kind]}")
 
 
+def _lambda_preflight(args, parser: argparse.ArgumentParser) -> None:
+    """Refuse, as a usage error, a --lambda past LAMBDA_CAP."""
+    if args.lam is not None and args.lam > LAMBDA_CAP:
+        parser.error(f"--lambda = {args.lam} is past the holo limit of {LAMBDA_CAP}")
+
+
 def _checked(kind, ok, need: str):
     """An argparse type: kind(text), refused as a usage error unless ok(value)."""
 
@@ -134,13 +155,18 @@ def _resolve_seed(args, parser: argparse.ArgumentParser) -> int:
         return args.seed
     raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
+    if seed < 0:
+        parser.error(f"{SEED_ENV} must be at least 0, got {raw!r}")
+    return seed
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="rng seed (default 0, or $" + SEED_ENV + ")")
+    p.add_argument(
+        "--seed", type=_COUNT, default=None, help=f"rng seed (default 0, or ${SEED_ENV})"
+    )
 
 
 def _finish_leaf(p: argparse.ArgumentParser, handler, csv_too: bool = True) -> None:
@@ -244,52 +270,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_chars(args, parser, out: str | None) -> int:
+def _cmd_chars(args, parser):
     _table_preflight(args, parser, "chars")
     table = CharacterTable(args.n)
     if args.json:
-        _emit(table.to_json(), out)
-    elif args.csv:
-        _emit(table.to_csv(), out)
-    else:
-        lines = [
-            f"{format_partition(r) or '-'}: " + " ".join(map(str, row))
-            for r, row in zip(table.labels, table.matrix.tolist())
-        ]
-        _emit("\n".join(lines), out)
-    return 0
+        return 0, table.to_json()
+    if args.csv:
+        return 0, table.to_csv()
+    rows = zip(table.labels, table.matrix.tolist())
+    lines = [f"{format_partition(r) or '-'}: " + " ".join(map(str, row)) for r, row in rows]
+    return 0, "\n".join(lines)
 
 
-def _cmd_kstar(args, parser, out: str | None) -> int:
+def _cmd_kstar(args, parser):
     if args.signatures_for is not None:
         if args.json:
             parser.error("kstar --signatures-for emits CSV only; drop --json")
-        _emit(centre.signature_table_csv(args.signatures_for), out)
-        return 0
+        return 0, centre.signature_table_csv(args.signatures_for)
     rows = centre.k_star_growth_report(args.n_max)
-    if args.json:
-        _emit(
-            _dump(
-                {
-                    "schema": "1",
-                    "rows": [{"n": r["n"], "k_star": r["k_star"]} for r in rows],
-                }
-            ),
-            out,
-        )
-    elif args.csv:
-        lines = ["n,k_star,heuristic"]
-        lines += [f"{r['n']},{r['k_star']},{r['heuristic']!r}" for r in rows]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(
-            "\n".join(
-                f"n={r['n']} k*={r['k_star']} heuristic={r['heuristic']:.4f}"
-                for r in rows
-            ),
-            out,
-        )
-    return 0
+    return 0, _pick(
+        args,
+        "\n".join(f"n={r['n']} k*={r['k_star']} heuristic={r['heuristic']:.4f}" for r in rows),
+        {"rows": [{"n": r["n"], "k_star": r["k_star"]} for r in rows]},
+        _csv("n,k_star,heuristic", (f"{r['n']},{r['k_star']},{r['heuristic']!r}" for r in rows)),
+    )
 
 
 def _centre_found(rep, transcript):
@@ -313,9 +317,7 @@ _PIPELINES = {
     ),
     "kron": (
         _kron_triple,
-        lambda t, seed: kron_lr.kron_detect(
-            kron_lr.pair_projector_state(*t), seed=seed
-        ),
+        lambda t, seed: kron_lr.kron_detect(kron_lr.pair_projector_state(*t), seed=seed),
         _triple_found,
     ),
     "lr": (
@@ -326,7 +328,7 @@ _PIPELINES = {
 }
 
 
-def _cmd_detect(args, parser, out: str | None) -> int:
+def _cmd_detect(args, parser):
     label_arg, detect, describe = _PIPELINES[args.pipeline]
     label = label_arg(args, parser)
     if args.pipeline in TABLE_CAPS:
@@ -335,17 +337,14 @@ def _cmd_detect(args, parser, out: str | None) -> int:
         transcript = detect(label, _resolve_seed(args, parser))
     except ValueError as exc:
         print(f"detection failed: {exc}", file=sys.stderr)
-        return 1
+        return 1, None
     found, head = describe(label, transcript)
-    if args.json:
-        _emit(transcript.to_json(), out)
-    else:
-        counters = transcript.counters
-        _emit(f"{head} queries={counters.cu_queries} gates={counters.total_gates}", out)
-    return 0 if found == label else 1
+    counters = transcript.counters
+    text = f"{head} queries={counters.cu_queries} gates={counters.total_gates}"
+    return 0 if found == label else 1, _pick(args, text, transcript.to_dict())
 
 
-def _cmd_detect_classical(args, parser, out: str | None) -> int:
+def _cmd_detect_classical(args, parser):
     rep = _diagram_arg(args, parser)
     seed = _resolve_seed(args, parser)
     failures = 0
@@ -359,7 +358,6 @@ def _cmd_detect_classical(args, parser, out: str | None) -> int:
         if transcript.detected != rep:
             failures += 1
     report = {
-        "schema": "1",
         "n": args.n,
         "true_label": format_partition(rep),
         "delta": args.delta,
@@ -369,20 +367,13 @@ def _cmd_detect_classical(args, parser, out: str | None) -> int:
         "per_k": first.per_k,
         "totals": {"per_trial": first.queries, "all_trials": total_queries},
     }
-    if args.json:
-        _emit(_dump(report), out)
-    else:
-        lines = [
-            f"true={format_partition(rep)} trials={args.trials} failures={failures}"
-        ]
-        lines += [
-            f"k={row['k']} estimate={row['estimate']} truth={row['truth']} "
-            f"queries={row['queries']}"
-            for row in first.per_k
-        ]
-        lines.append(f"queries per trial: {first.queries}")
-        _emit("\n".join(lines), out)
-    return 0 if failures == 0 else 1
+    lines = [f"true={format_partition(rep)} trials={args.trials} failures={failures}"]
+    lines += [
+        f"k={r['k']} estimate={r['estimate']} truth={r['truth']} queries={r['queries']}"
+        for r in first.per_k
+    ]
+    lines.append(f"queries per trial: {first.queries}")
+    return 0 if failures == 0 else 1, _pick(args, "\n".join(lines), report)
 
 
 # kron and lr: (size flags, --triple parser, JSON key of a coefficient, and
@@ -406,204 +397,133 @@ _ALGEBRAS = {
 }
 
 
-def _cmd_algebra(args, parser, out: str | None) -> int:
+def _cmd_algebra(args, parser):
     flags, triple_arg, key, names = _ALGEBRAS[args.command]
     coefficient, labels_of, dimension, referee = (getattr(kron_lr, f) for f in names)
     sizes = {flag: getattr(args, flag) for flag in flags}
     if args.triple:
         value = coefficient(*triple_arg(args, parser))
-        if args.json:
-            _emit(_dump({"schema": "1", "triple": args.triple, key: value}), out)
-        else:
-            _emit(str(value), out)
-        return 0
+        return 0, _pick(args, str(value), {"triple": args.triple, key: value})
     _table_preflight(args, parser, args.command)
     labels = labels_of(*sizes.values())
     if args.table:
         rows = [(";".join(format_partition(p) for p in t), v) for t, v in labels.items()]
         if args.json:
-            table = [{"triple": t, key: v} for t, v in rows]
-            _emit(_dump({"schema": "1", **sizes, "rows": table}), out)
-        else:
-            lines = [f"triple,{key}"]
-            lines += [f'"{t}",{v}' for t, v in rows]
-            _emit("\n".join(lines) + "\n", out)
-        return 0
+            return 0, _json({**sizes, "rows": [{"triple": t, key: v} for t, v in rows]})
+        return 0, _csv(f"triple,{key}", (f'"{t}",{v}' for t, v in rows))
     summary = {
         **sizes,
         names[2]: dimension(*sizes.values()),
         names[3]: referee(*sizes.values()),
         "nonzero_triples": len(labels),
     }
-    if args.json:
-        _emit(_dump({"schema": "1", **summary}), out)
-    else:
-        _emit(" ".join(f"{k}={v}" for k, v in summary.items()), out)
-    return 0
+    return 0, _pick(args, " ".join(f"{k}={v}" for k, v in summary.items()), summary)
 
 
 def _roundtrip_json(result: dict) -> dict:
-    return {
-        "rep": format_partition(result["rep"]),
-        "recovered": format_partition(result["recovered"]),
-        "match": result["match"],
-        "lam": result["lam"],
-        "rho": result["rho"],
-        "residual_max": result["residual_max"],
-        "moments": result["moments"],
-        "ops": result["ops"],
-    }
+    row = {k: result[k] for k in ("match", "lam", "rho", "residual_max", "moments", "ops")}
+    row["rep"] = format_partition(result["rep"])
+    row["recovered"] = format_partition(result["recovered"])
+    return row
 
 
-def _cmd_holo_roundtrip(args, parser, out: str | None) -> int:
+def _cmd_holo_roundtrip(args, parser):
+    """All diagrams of --n, or the one diagram --r, whose CSV is its profile samples."""
     if args.capital_n <= args.n:
         parser.error("--capital-n must exceed --n")
-    if args.r is not None:
-        rep = _diagram_arg(args, parser)
-        try:
-            result = holographic.holographic_roundtrip(
-                rep, args.capital_n, lam=args.lam, rho=args.rho
-            )
-        except (ValueError, ArithmeticError) as exc:
-            print(f"roundtrip failed: {exc}", file=sys.stderr)
-            return 1
-        if args.csv:
-            profile = holographic.u_profile(
-                holographic.fermion_config(rep, args.capital_n), args.rho, result["lam"]
-            )
-            _emit(profile.samples_csv(), out)
-        elif args.json:
-            _emit(_dump({"schema": "1", **_roundtrip_json(result)}), out)
-        else:
-            _emit(
-                f"rep={format_partition(rep)} recovered="
-                f"{format_partition(result['recovered'])} match={result['match']} "
-                f"residual={result['residual_max']:.3g}",
-                out,
-            )
-        return 0 if result["match"] else 1
+    _lambda_preflight(args, parser)
+    single = args.r is not None
     results = []
-    for rep in partitions(args.n):
+    for rep in [_diagram_arg(args, parser)] if single else partitions(args.n):
         try:
             results.append(
-                holographic.holographic_roundtrip(
-                    rep, args.capital_n, lam=args.lam, rho=args.rho
-                )
+                holographic.holographic_roundtrip(rep, args.capital_n, lam=args.lam, rho=args.rho)
             )
         except (ValueError, ArithmeticError) as exc:
-            print(f"roundtrip failed at {format_partition(rep)}: {exc}", file=sys.stderr)
-            return 1
-    ok = all(r["match"] for r in results)
-    if args.json:
-        _emit(
-            _dump(
-                {
-                    "schema": "1",
-                    "n": args.n,
-                    "capital_n": args.capital_n,
-                    "rho": args.rho,
-                    "rows": [_roundtrip_json(r) for r in results],
-                    "all_match": ok,
-                }
-            ),
-            out,
+            where = "" if single else f" at {format_partition(rep)}"
+            print(f"roundtrip failed{where}: {exc}", file=sys.stderr)
+            return 1, None
+    rows = [_roundtrip_json(r) for r in results]
+    ok = all(r["match"] for r in rows)
+    code = 0 if ok else 1
+    if single and args.csv:
+        config = holographic.fermion_config(results[0]["rep"], args.capital_n)
+        return code, holographic.u_profile(config, args.rho, results[0]["lam"]).samples_csv()
+    if single:
+        (row,) = rows
+        text = (
+            f"rep={row['rep']} recovered={row['recovered']} match={row['match']} "
+            f"residual={row['residual_max']:.3g}"
         )
-    elif args.csv:
-        lines = ["rep,recovered,match,residual_max"]
-        lines += [
-            f'"{format_partition(r["rep"])}","{format_partition(r["recovered"])}",'
-            f"{int(r['match'])},{r['residual_max']!r}"
-            for r in results
-        ]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(
-            "\n".join(
-                f"rep={format_partition(r['rep'])} match={r['match']} "
-                f"residual={r['residual_max']:.3g}"
-                for r in results
-            ),
-            out,
-        )
-    return 0 if ok else 1
+        return code, _pick(args, text, row)
+    lines = [f"rep={r['rep']} match={r['match']} residual={r['residual_max']:.3g}" for r in rows]
+    csv = _csv(
+        "rep,recovered,match,residual_max",
+        (f'"{r["rep"]}","{r["recovered"]}",{int(r["match"])},{r["residual_max"]!r}' for r in rows),
+    )
+    data = {"n": args.n, "capital_n": args.capital_n, "rho": args.rho, "rows": rows}
+    data["all_match"] = ok
+    return code, _pick(args, "\n".join(lines), data, csv)
 
 
-def _cmd_holo_cutoffs(args, parser, out: str | None) -> int:
+def _cutoff_lines(rows) -> list[str]:
+    return [f"n={r['n']} moment_cutoff={r['moment_cutoff']} k*={r['k_star']}" for r in rows]
+
+
+def _cmd_holo_cutoffs(args, parser):
     rows = holographic.cutoff_comparison_table(args.n_max)
-    if args.json:
-        _emit(_dump({"schema": "1", "rows": rows}), out)
-    elif args.csv:
-        lines = ["n,moment_cutoff,k_star"]
-        lines += [f"{r['n']},{r['moment_cutoff']},{r['k_star']}" for r in rows]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(
-            "\n".join(
-                f"n={r['n']} moment_cutoff={r['moment_cutoff']} k*={r['k_star']}"
-                for r in rows
-            ),
-            out,
+    lines = (f"{r['n']},{r['moment_cutoff']},{r['k_star']}" for r in rows)
+    csv = _csv("n,moment_cutoff,k_star", lines)
+    return 0, _pick(args, "\n".join(_cutoff_lines(rows)), {"rows": rows}, csv)
+
+
+def _cmd_holo_cost(args, parser):
+    _lambda_preflight(args, parser)
+    try:
+        float(args.lam) ** (1.0 + args.beta)
+    except OverflowError:
+        limit = math.log(sys.float_info.max, args.lam) - 1
+        parser.error(
+            f"--beta = {args.beta} is past the limit of {limit:.4g} at --lambda {args.lam}"
         )
-    return 0
-
-
-def _cmd_holo_cost(args, parser, out: str | None) -> int:
     report = holographic.holographic_complexity_report(args.lam, args.beta)
-    if args.json:
-        _emit(_dump({"schema": "1", **report}), out)
-    else:
-        _emit(
-            f"lambda={report['lambda']} beta={report['beta']} case={report['case']} "
-            f"dominant={report['dominant']} direct_mults={report['direct_mults']} "
-            f"solve_mults={report['solve_mults']}",
-            out,
-        )
-    return 0
+    text = (
+        f"lambda={report['lambda']} beta={report['beta']} case={report['case']} "
+        f"dominant={report['dominant']} direct_mults={report['direct_mults']} "
+        f"solve_mults={report['solve_mults']}"
+    )
+    return 0, _pick(args, text, report)
 
 
-def _cmd_report(args, parser, out: str | None) -> int:
-    n_max = args.n_max
-    quantum = detection.complexity_table(range(2, n_max + 1))
+def _cmd_report(args, parser):
+    quantum = detection.complexity_table(range(2, args.n_max + 1))
     sampling = classical.classical_complexity_report([6, 7, 8])
-    holo = holographic.cutoff_comparison_table(min(n_max, 10))
-    if args.json:
-        _emit(
-            _dump(
-                {
-                    "schema": "1",
-                    "quantum": quantum,
-                    "classical": sampling,
-                    "holographic_cutoffs": holo,
-                }
-            ),
-            out,
-        )
-    else:
-        lines = ["signature detection (exact phase):"]
-        lines += [
-            f"  n={r['n']} k*={r['k_star']} queries={r['query_total']} "
-            f"gates={r['gate_total']}"
-            for r in quantum
-        ]
-        lines.append("sampling baseline (widest diagram):")
-        lines += [
-            f"  n={r['n']} queries={r['queries']} vs quantum {r['quantum_queries']}"
-            for r in sampling
-        ]
-        lines.append("profile pipeline cutoffs:")
-        lines += [
-            f"  n={r['n']} moment_cutoff={r['moment_cutoff']} k*={r['k_star']}"
-            for r in holo
-        ]
-        _emit("\n".join(lines), out)
-    return 0
+    holo = holographic.cutoff_comparison_table(min(args.n_max, 10))
+    lines = ["signature detection (exact phase):"]
+    lines += [
+        f"  n={r['n']} k*={r['k_star']} queries={r['query_total']} gates={r['gate_total']}"
+        for r in quantum
+    ]
+    lines.append("sampling baseline (widest diagram):")
+    lines += [
+        f"  n={r['n']} queries={r['queries']} vs quantum {r['quantum_queries']}"
+        for r in sampling
+    ]
+    lines.append("profile pipeline cutoffs:")
+    lines += ["  " + line for line in _cutoff_lines(holo)]
+    data = {"quantum": quantum, "classical": sampling, "holographic_cutoffs": holo}
+    return 0, _pick(args, "\n".join(lines), data)
 
 
 def run(argv=None) -> int:
+    """Parse argv, run its handler and write the handler's output; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, args.parser, args.out)
+        code, text = args.handler(args, args.parser)
+        if text is not None:
+            _emit(text, args.out)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -1,13 +1,19 @@
 """Command-line contract: formats, determinism, exit codes, seeds."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from projdetect.cli import run
+from projdetect import cli
+from projdetect.cli import LAMBDA_CAP, SEED_ENV, run
 
 
 def invoke(capsys, *argv):
@@ -112,6 +118,13 @@ def test_unknown_subcommand_usage_error(capsys):
         "lr --m 0 --n 18 --table",
         "detect kron --n 13 --triple 13;13;13",
         "detect lr --m 9 --n 9 --triple 18;9;9",
+        "detect classical --n 3 --r 2,1 --seed -1",
+        "detect zcsn --n 6 --r 3,3 --seed -1",
+        "detect kron --n 4 --triple 2,2;3,1;2,1,1 --seed -1",
+        "detect lr --m 2 --n 2 --triple 3,1;2;1,1 --seed -1",
+        "holo cost --lambda 126 --beta 1",
+        "holo cost --lambda 8 --beta 1e308",
+        "holo roundtrip --n 2 --capital-n 3 --lambda 600 --r 2",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -132,6 +145,19 @@ def test_out_of_range_flag_usage_error(capsys, argv):
         (
             "detect lr --m 9 --n 9 --triple 18;9;9",
             "--m + --n = 18 is past the lr table limit of 17",
+        ),
+        ("holo cost --lambda 126 --beta 1", "--lambda = 126 is past the holo limit of 125"),
+        (
+            "holo roundtrip --n 2 --capital-n 3 --lambda 600 --r 2",
+            "--lambda = 600 is past the holo limit of 125",
+        ),
+        (
+            "holo cost --lambda 8 --beta 1e308",
+            "--beta = 1e+308 is past the limit of 340.3 at --lambda 8",
+        ),
+        (
+            "holo cost --lambda 2 --beta 1024",
+            "--beta = 1024.0 is past the limit of 1023 at --lambda 2",
         ),
     ],
 )
@@ -167,6 +193,19 @@ def test_env_seed_override(capsys, monkeypatch):
     code, out, err = invoke(capsys, "detect", "zcsn", "--n", "6", "--r", "3,3", "--json")
     assert (code, out) == (2, "")
     assert "PROJDETECT_SEED" in err and "Traceback" not in err
+    monkeypatch.setenv("PROJDETECT_SEED", "-3")
+    for argv in (["zcsn", "--n", "6", "--r", "3,3"], ["classical", "--n", "3", "--r", "2,1"]):
+        code, out, err = invoke(capsys, "detect", *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: PROJDETECT_SEED must be at least 0, got '-3'\n")
+
+
+def test_holo_limits_are_inclusive(capsys, monkeypatch):
+    assert invoke(capsys, "holo", "cost", "--lambda", "8", "--beta", "340")[0] == 0
+    assert invoke(capsys, "holo", "cost", "--lambda", "1", "--beta", "1e308")[0] == 0
+    monkeypatch.setattr(cli, "LAMBDA_CAP", 8)
+    assert invoke(capsys, "holo", "cost", "--lambda", "8", "--beta", "1")[0] == 0
+    assert invoke(capsys, "holo", "cost", "--lambda", "9", "--beta", "1")[0] == 2
 
 
 def test_explicit_seed_beats_env(capsys, monkeypatch):
@@ -300,3 +339,59 @@ def test_classical_detect_cli(capsys):
     assert data["failures"] == 0
     assert data["trials"] == 2
     assert data["schema"] == "1"
+
+
+ZCSN = ["detect", "zcsn", "--n", "4", "--r", "2,2"]
+CLASSICAL = ["detect", "classical", "--n", "3", "--r", "2,1"]
+ONE_DIAGRAM = ["holo", "roundtrip", "--n", "2", "--capital-n", "3", "--r", "2"]
+# (argv, the flag whose value is fuzzed, or SEED_ENV for the environment)
+FUZZED_FLAGS = [
+    (ZCSN, "--seed"),
+    (["detect", "kron", "--n", "3", "--triple", "3;3;3"], "--seed"),
+    (["detect", "lr", "--m", "1", "--n", "1", "--triple", "2;1;1"], "--seed"),
+    (CLASSICAL, "--seed"),
+    (ZCSN, SEED_ENV),
+    (CLASSICAL, SEED_ENV),
+    (["holo", "cost", "--beta", "1"], "--lambda"),
+    (ONE_DIAGRAM, "--lambda"),
+    (["holo", "cost", "--lambda", "8"], "--beta"),
+    (["holo", "cost", "--lambda", "2"], "--beta"),
+    (ONE_DIAGRAM, "--rho"),
+    (CLASSICAL, "--delta"),
+]
+
+
+def slow_lambda(text: str) -> bool:
+    """A --lambda the holo commands accept but take more than a moment on."""
+    try:
+        return 12 < int(text) <= LAMBDA_CAP
+    except ValueError:
+        return False
+
+
+FLAG_VALUES = st.one_of(
+    st.integers(max_value=12).map(str),
+    st.integers(min_value=LAMBDA_CAP + 1).map(str),
+    st.floats().map(str),
+    st.sampled_from(["0", "-0", "1e400", "1_000", " 7 ", ""]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=8),
+).filter(lambda text: not slow_lambda(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FUZZED_FLAGS), FLAG_VALUES)
+@example((ZCSN, "--seed"), "-1")
+@example((CLASSICAL, "--seed"), "-1")
+@example((CLASSICAL, SEED_ENV), "-3")
+@example((["holo", "cost", "--beta", "1"], "--lambda"), "126")
+@example((["holo", "cost", "--lambda", "8"], "--beta"), "1e308")
+@example((CLASSICAL, "--delta"), "5e-324")
+def test_fuzzed_flag_values_exit_cleanly(case, value):
+    """Negative, zero, huge and non-numeric values end in exit 0, 1 or 2, never an exception."""
+    argv, flag = case
+    env = {SEED_ENV: value} if flag == SEED_ENV else {}
+    argv = argv if flag == SEED_ENV else [*argv, f"{flag}={value}"]
+    quiet = io.StringIO()
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(quiet):
+        with contextlib.redirect_stderr(quiet):
+            assert run(argv) in (0, 1, 2)

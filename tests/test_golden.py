@@ -49,6 +49,23 @@ EXTRA_ARGV = [
     ["lr", "--m", "2", "--n", "2", "--triple", "3,1;2;1,1"],
     ["lr", "--m", "2", "--n", "2", "--triple", "3,1;2;1,1", "--json"],
     ["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--r", "2,1"],
+    ["kstar", "--n-max", "8", "--json"],
+    ["kstar", "--n-max", "8", "--csv"],
+    ["chars", "--n", "4"],
+    ["chars", "--n", "4", "--csv"],
+    ["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--json"],
+    ["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--csv"],
+    ["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--r", "2,1", "--json"],
+    ["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--r", "2,1", "--csv"],
+    ["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--r", "2,1", "--json", "--csv"],
+    ["holo", "cutoff-table", "--n-max", "6", "--json"],
+    ["holo", "cutoff-table", "--n-max", "6", "--csv"],
+    ["holo", "cost", "--lambda", "8", "--beta", "2.0", "--json"],
+    ["report", "--n-max", "6", "--json"],
+    ["kron", "--n", "4", "--csv"],
+    ["kron", "--n", "4", "--triple", "2,2;3,1;2,1,1", "--csv"],
+    ["lr", "--m", "2", "--n", "3", "--csv"],
+    ["lr", "--m", "2", "--n", "2", "--triple", "3,1;2;1,1", "--csv"],
 ]
 
 

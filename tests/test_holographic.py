@@ -175,6 +175,28 @@ def test_solve_u_residual_gate():
         solve_U([0.5], table, 1.0)
 
 
+def solve_profile(rep, capital_n, lam):
+    profile = u_profile(fermion_config(rep, capital_n), 1.0, lam)
+    return solve_U(dft_extract(profile).bins, jacobi_coeffs(lam), 1.0)
+
+
+@pytest.mark.parametrize("lam", [16, 18, 30, 40])
+def test_solve_u_refuses_casimirs_past_2_53(lam):
+    """A 0.5 residual gate let these through: wrong A_l at 16 and 18, and at
+    30 and 40 a residual of 0, since every float that large is an integer."""
+    with pytest.raises(ArithmeticError, match="2\\^53"):
+        solve_profile((2,), 3, lam)
+
+
+def test_solve_u_refuses_a_wide_residual():
+    """Every |A_l| is below 2^53 (4.5e14 at most), yet the float error moves
+    the rounding: the recovered A_l are wrong, with residual 0.278."""
+    with pytest.raises(ArithmeticError, match="residual 0.278 exceeds"):
+        solve_profile((3, 3, 1), 11, 10)
+    config = fermion_config((3, 3, 1), 11)
+    assert casimir_sums(config, 9) == list(solve_profile((3, 3, 1), 11, 9).casimirs)
+
+
 def test_moment_cutoff_examples():
     assert moment_cutoff(2, 3) == 2
     assert moment_cutoff(1, 2) == 1
@@ -268,3 +290,10 @@ def test_complexity_cases():
     assert high["case"] == "2"
     assert low["measurement_ops"] == 8.0
     assert high["measurement_ops"] == 512.0
+
+
+def test_complexity_counts_past_exact_floats():
+    """From lam = 12 the A_l of the all-levels configuration pass 2^53, so
+    solve_U refuses them; the report counts the solve without rounding."""
+    report = holographic_complexity_report(40, 1.0)
+    assert (report["grid"], report["direct_mults"], report["solve_mults"]) == (82, 6724, 441)

@@ -3,7 +3,8 @@
 Both the package modules and the test files are checked.  The package's
 `__init__.py` is left out because its imports are the package's exports.
 No private or UPPER_CASE module-level name in the package may go unread by
-every package module.  The benchmark's tracer names library functions by
+every package module. In the command line, only `run` writes a handler's
+output, and only through `_emit`.  The benchmark's tracer names library functions by
 module and attribute path; those names must keep resolving.
 """
 
@@ -91,6 +92,50 @@ def test_no_unread_module_names():
     package = Path(projdetect.__file__).parent
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
     assert unread_module_names(sources) == []
+
+
+def stray_output_calls(source: str) -> list[str]:
+    """Calls of _emit outside run, and of print without file=sys.stderr outside _emit."""
+    found = []
+
+    def visit(node, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                name = child.func.id
+                to_stderr = any(
+                    k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in child.keywords
+                )
+                if (name == "_emit" and owner != "run") or (
+                    name == "print" and owner != "_emit" and not to_stderr
+                ):
+                    found.append(f"line {child.lineno}: {name} in {owner}")
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_catches_stray_output():
+    source = (
+        "def _emit(text, out):\n    print(text)\n"
+        "def _cmd(args):\n    _emit('x', None)\n    print('y')\n"
+        "    print('z', file=sys.stderr)\n"
+        "def run():\n    _emit('x', None)\n"
+        "f = lambda: print('w')\n"
+    )
+    assert stray_output_calls(source) == [
+        "line 4: _emit in _cmd",
+        "line 5: print in _cmd",
+        "line 9: print in <module>",
+    ]
+
+
+def test_cli_output_is_written_by_run_alone():
+    cli = Path(projdetect.__file__).with_name("cli.py")
+    assert stray_output_calls(cli.read_text()) == []
 
 
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
