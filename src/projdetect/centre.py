@@ -20,6 +20,7 @@ from .symgroup import (
     character,
     class_size,
     dimension,
+    format_partition,
     normalized_character_exact,
     partitions,
 )
@@ -95,7 +96,7 @@ def signature_table_csv(n: int) -> str:
     w = csv.writer(buf)
     w.writerow(["partition"] + [f"T_{k}" for k in range(2, k_star(n) + 1)])
     for sig, rep in signature_table(n).items():
-        w.writerow([",".join(map(str, rep))] + list(sig))
+        w.writerow([format_partition(rep)] + list(sig))
     return buf.getvalue()
 
 

@@ -36,6 +36,7 @@ from .symgroup import (
     character,
     class_size,
     dimension,
+    format_partition,
     partitions,
 )
 
@@ -359,12 +360,10 @@ class ClassicalTranscript:
             "k_star": self.k_star,
             "delta": self.delta,
             "seed": self.seed,
-            "true_label": None
-            if self.true_label is None
-            else ",".join(map(str, self.true_label)),
+            "true_label": None if self.true_label is None else format_partition(self.true_label),
             "per_k": self.per_k,
             "signature": list(self.signature),
-            "detected": ",".join(map(str, self.detected)) if self.detected else None,
+            "detected": format_partition(self.detected) if self.detected else None,
             "queries": self.queries,
         }
 
@@ -451,7 +450,7 @@ def classical_complexity_report(n_values, delta: float = 0.05) -> list[dict]:
             {
                 "n": n,
                 "k_star": cutoff,
-                "rep": ",".join(map(str, rep)),
+                "rep": format_partition(rep),
                 "d_max": dmax,
                 "queries": total,
                 "rate": rate,

@@ -10,9 +10,9 @@ are written comma-joined ("3,2,1"), triples semicolon-joined
 
 The default seed is 0; the environment variable PROJDETECT_SEED overrides it
 when --seed is not given explicitly. A negative seed, a non-integer or negative
-PROJDETECT_SEED, a table past TABLE_CAPS and a holo --lambda past LAMBDA_CAP are
-usage errors. Each handler returns (exit code, output text or None), and run()
-alone writes that text.
+PROJDETECT_SEED, a table past TABLE_CAPS, a holo --lambda past LAMBDA_CAP and a
+holo roundtrip --capital-n past CAPITAL_N_CAP are usage errors. Each handler
+returns (exit code, output text or None), and run() alone writes that text.
 """
 
 from __future__ import annotations
@@ -39,6 +39,11 @@ TABLE_CAPS = {"chars": 18, "kron": 12, "lr": 17}
 # holo roundtrip --lambda 600 took 6.8 s to fail.
 LAMBDA_CAP = 125
 
+# Largest holo roundtrip --capital-n. All diagrams of --n N-1 at --lambda 7
+# --rho 2 took 2.2-3.1 s cold on that VM at N = 24 and 3.2-3.8 s at N = 25;
+# --lambda 0 stays under 0.7 s up to N = 30.
+CAPITAL_N_CAP = 24
+
 
 def _json(obj: dict) -> str:
     """obj as JSON text, keys sorted, under the top-level "schema": "1"."""
@@ -57,16 +62,18 @@ def _pick(args, text: str, data: dict, csv: str | None = None) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text, ending in exactly one newline, to --out or else stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             print(f"projdetect: error: cannot write --out {out}: {exc.strerror}", file=sys.stderr)
             raise SystemExit(2)
     else:
         try:
-            print(text, flush=True)
+            print(text, end="", flush=True)
         except OSError as exc:
             print(f"projdetect: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
             # the exit flush of sys.stdout would fail again and print a report
@@ -431,6 +438,8 @@ def _cmd_holo_roundtrip(args, parser):
     """All diagrams of --n, or the one diagram --r, whose CSV is its profile samples."""
     if args.capital_n <= args.n:
         parser.error("--capital-n must exceed --n")
+    if args.capital_n > CAPITAL_N_CAP:
+        parser.error(f"--capital-n = {args.capital_n} is past the holo limit of {CAPITAL_N_CAP}")
     _lambda_preflight(args, parser)
     single = args.r is not None
     results = []

@@ -30,7 +30,7 @@ from .qpe import (
     qpe_outcomes,
     sample_outcome,
 )
-from .symgroup import Partition, as_partition, partitions
+from .symgroup import Partition, as_partition, format_partition, partitions
 
 
 def t_bits(n: int, k: int) -> int:
@@ -71,10 +71,8 @@ class DetectionTranscript:
             "schema": "1",
             "n": self.n,
             "seed": self.seed,
-            "true_label": None
-            if self.true_label is None
-            else ",".join(map(str, self.true_label)),
-            "identified_label": ",".join(map(str, self.identified_label)),
+            "true_label": None if self.true_label is None else format_partition(self.true_label),
+            "identified_label": format_partition(self.identified_label),
             "rounds": self.rounds,
             "query_total": self.query_total,
             "gate_total": self.gate_total,

@@ -1,23 +1,25 @@
 """Exact, literal group-algebra arithmetic for S_n and S_n x S_n.
 
-Elements are sparse dicts from group elements to exact coefficients, and every
-operation (convolution, antipode, the g pairing) is performed by definition,
-with no character shortcuts. That makes this module the independent referee
-for the centre and Kronecker layers, at the price of factorial blowup. A
-product is one integer-scaled convolution over vectors of length |G|, with
-one left-multiplication row per support element, so pair groups are
-practical to n <= 5 (|G| = 14400; a full-support square takes about a second).
+An element is one exact integer vector over the group index and one common
+denominator. Every operation (convolution, antipode, the g pairing, tensor,
+coproduct, embedding) is performed by definition as an index operation on that
+vector, with no character shortcuts. That makes this module the independent
+referee for the centre and Kronecker layers, at the price of factorial blowup.
+A product gathers |support| x |G| entries, a bounded chunk at a time, so pair
+groups are practical to n <= 5 (|G| = 14400).
 
 Permutations are tuples of images on 0..n-1. Elements of a product group are
-tuples of such tuples; a plain S_n element uses a 1-tuple key internally so
-the same code path serves both.
+tuples of such tuples; a plain S_n element uses a 1-tuple key so the same
+code path serves both.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as iter_permutations
-from math import factorial, lcm
+from itertools import product
+from math import factorial, gcd, lcm
 from numbers import Rational
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +29,11 @@ Perm = tuple[int, ...]
 
 DIAGONAL_ORBIT_BOUND = 5
 SUBGROUP_ORBIT_BOUND = 6
+
+# int64 arithmetic below this bound on every entry and sum, Python ints from it up
+INT64_BOUND = 2**62
+# product indices gathered at once (512 KiB)
+PRODUCT_CHUNK = 1 << 16
 
 
 def identity_perm(n: int) -> Perm:
@@ -82,185 +89,186 @@ def permutations_of_type(n: int, mu: Partition):
             yield p
 
 
-def _key_inverse(a):
-    return tuple(inverse(x) for x in a)
-
-
-def _conj(v):
-    return v.conjugate() if isinstance(v, complex) else v
-
-
 @cache
 def _group_index(degrees: tuple[int, ...]):
-    """Sorted element list and index lookup for a (product of) symmetric group(s)."""
-    from itertools import product
+    """Sorted element list and index lookup for a (product of) symmetric group(s).
 
+    The index is mixed radix over the factors, first most significant; the
+    identity is index 0.
+    """
     pools = [sorted(iter_permutations(range(d))) for d in degrees]
     elems = [tuple(t) for t in product(*pools)]
     return elems, {g: i for i, g in enumerate(elems)}
 
 
 @cache
-def _left_row(p: Perm):
-    """Index of p.b for each b of _group_index((len(p),)), in that order."""
-    elems, index = _group_index((len(p),))
-    row = np.array([index[(compose(p, b),)] for (b,) in elems], dtype=np.intp)
-    row.flags.writeable = False
-    return row
+def _tables(d: int):
+    """S_d's left table, [i, j] = index of p_i.p_j, and the index of each p_i^-1."""
+    elems, index = _group_index((d,))
+    table = np.array([[index[(compose(p, q),)] for (q,) in elems] for (p,) in elems])
+    inv = np.array([index[(inverse(p),)] for (p,) in elems])
+    table.flags.writeable = inv.flags.writeable = False
+    return table, inv
 
 
-def _left_rows(key):
-    """Index of key.b for every b of the product group, in _group_index order.
-
-    The factor rows combine in mixed radix, first factor most significant,
-    which is the order itertools.product gives the group elements.
-    """
-    row = _left_row(key[0])
-    for p in key[1:]:
-        factor = _left_row(p)
-        row = (row[:, None] * len(factor) + factor).ravel()
-    return row
+def _mixed_radix(rows: list) -> np.ndarray:
+    """Join per-factor index rows, row by row, into product-group indices."""
+    out = rows[0]
+    for row in rows[1:]:
+        out = (out[:, :, None] * row.shape[1] + row[:, None, :]).reshape(len(out), -1)
+    return out
 
 
-def _scaled(data: dict) -> tuple[int, dict]:
-    """Common denominator of the coefficients and the integer numerators over it."""
-    for v in data.values():
-        if not isinstance(v, Rational):
-            raise TypeError(f"group-algebra products need rational coefficients, got {v!r}")
-    den = lcm(*(v.denominator for v in data.values()))
-    return den, {k: v.numerator * (den // v.denominator) for k, v in data.items()}
+def _peak(num: np.ndarray) -> int:
+    return int(np.abs(num).max())
+
+
+def _widen(num: np.ndarray, bound: int) -> np.ndarray:
+    """num on Python ints when bound, a bound on what is computed from it, may pass int64."""
+    return num.astype(object) if bound >= INT64_BOUND else num
+
+
+def _rational(value):
+    if not isinstance(value, Rational):
+        raise TypeError(f"group-algebra coefficients must be rational, got {value!r}")
+    return value
 
 
 class GroupAlgebraElement:
-    """Sparse element of C[S_{d1} x ... x S_{dk}] with exact coefficients."""
+    """Element of C[S_{d1} x ... x S_{dk}] with exact rational coefficients.
 
-    __slots__ = ("degrees", "data")
+    `num` is a read-only integer vector over _group_index(degrees), `den` a
+    positive denominator, in lowest terms so equal elements have equal fields.
+    Caller keys and coefficients are checked only where they come in.
+    """
+
+    __slots__ = ("degrees", "num", "den", "_data")
 
     def __init__(self, degrees, data: dict | None = None):
-        if isinstance(degrees, int):
-            degrees = (degrees,)
-        self.degrees = tuple(degrees)
-        clean = {}
-        if data:
-            for key, val in data.items():
-                key = self._as_key(key)
-                if val != 0:
-                    clean[key] = clean.get(key, 0) + val
-        self.data = {k: v for k, v in clean.items() if v != 0}
+        self.degrees = (degrees,) if isinstance(degrees, int) else tuple(degrees)
+        total = {}
+        for key, val in (data or {}).items():
+            i = self._index(key)
+            total[i] = total.get(i, 0) + _rational(val)
+        den = lcm(*(v.denominator for v in total.values()))
+        num = np.zeros(len(_group_index(self.degrees)[0]), dtype=object)
+        num[list(total)] = [v.numerator * (den // v.denominator) for v in total.values()]
+        self._set(num, den)
 
-    def _as_key(self, key):
+    def _set(self, num: np.ndarray, den: int) -> None:
+        """Store num / den in lowest terms; the zero element gets den 1."""
+        g = gcd(den, int(np.gcd.reduce(num)))
+        if g > 1 and num.any():
+            num = num // g
+        self.num = num.astype(np.int64) if _peak(num) < INT64_BOUND else num
+        self.num.flags.writeable = False
+        self.den = den // g
+        self._data = None
+
+    def _index(self, key) -> int:
         if len(self.degrees) == 1 and key and isinstance(key[0], int):
             key = (tuple(key),)
-        key = tuple(tuple(p) for p in key)
-        if len(key) != len(self.degrees) or any(
-            sorted(p) != list(range(d)) for p, d in zip(key, self.degrees)
-        ):
+        i = _group_index(self.degrees)[1].get(tuple(tuple(p) for p in key))
+        if i is None:
             raise ValueError(f"bad group element {key} for degrees {self.degrees}")
-        return key
+        return i
 
-    def coefficient(self, key):
-        return self.data.get(self._as_key(key), 0)
+    @property
+    def data(self):
+        """Read-only {group element: Fraction} over the support, built on first read."""
+        if self._data is None:
+            elems = _group_index(self.degrees)[0]
+            self._data = MappingProxyType(
+                {elems[i]: Fraction(int(self.num[i]), self.den) for i in np.flatnonzero(self.num)}
+            )
+        return self._data
+
+    def coefficient(self, key) -> Fraction:
+        return Fraction(int(self.num[self._index(key)]), self.den)
 
     def support_size(self) -> int:
-        return len(self.data)
+        return int(np.count_nonzero(self.num))
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         if self.degrees != other.degrees:
             raise ValueError("mismatched groups")
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, 0) + v
-        return GroupAlgebraElement(self.degrees, out)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        bound = _peak(self.num) * fa + _peak(other.num) * fb
+        num = _widen(self.num, bound) * fa + _widen(other.num, bound) * fb
+        return _element(self.degrees, num, den)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.degrees, {k: scalar * v for k, v in self.data.items()}
-        )
+        s = Fraction(_rational(scalar))
+        num = _widen(self.num, _peak(self.num) * abs(s.numerator)) * s.numerator
+        return _element(self.degrees, num, self.den * s.denominator)
 
     def __mul__(self, other):
-        """Exact convolution, done as one integer-scaled dense product.
+        """Exact convolution (a.b)[g] = sum_h a[h] b[h^-1 g], over a's support.
 
-        Both operands are scaled to integers over their common denominators.
-        For fixed a the map b -> a.b is a bijection of the group, so a's
-        left-multiplication row is a permutation of indices and the
-        fancy-indexed adds accumulate without collisions. The row is built
-        from cached per-factor rows, so the cache grows with the rows read,
-        at most d!^2 entries per factor degree d, never with |G|^2.
-        The sparse convolution in the tests is this product's referee.
+        The indices h^-1 g of a chunk of h come from the per-degree left tables
+        and inverse indices in mixed radix: about PRODUCT_CHUNK at once, never
+        |G|^2. The sparse convolution in the tests is this product's referee.
         """
         if not isinstance(other, GroupAlgebraElement):
-            return GroupAlgebraElement(
-                self.degrees, {k: v * other for k, v in self.data.items()}
-            )
+            return self.__rmul__(other)
         if self.degrees != other.degrees:
             raise ValueError("mismatched groups")
-        if not self.data or not other.data:
-            return GroupAlgebraElement(self.degrees)
-        elems, index = _group_index(self.degrees)
-        den_a, ints_a = _scaled(self.data)
-        den_b, ints_b = _scaled(other.data)
-        big = max(map(abs, ints_a.values())) * max(map(abs, ints_b.values())) * len(elems)
-        dtype = np.int64 if big < 2**62 else object
-        b_vec = np.zeros(len(elems), dtype=dtype)
-        for k, v in ints_b.items():
-            b_vec[index[k]] = v
-        acc = np.zeros(len(elems), dtype=dtype)
-        for k, v in ints_a.items():
-            acc[_left_rows(k)] += v * b_vec
-        den = den_a * den_b
-        # keys come from the group index and values are nonzero: skip __init__
-        out = object.__new__(GroupAlgebraElement)
-        out.degrees = self.degrees
-        out.data = {elems[i]: Fraction(int(acc[i]), den) for i in np.nonzero(acc)[0]}
-        return out
+        support = np.flatnonzero(self.num)
+        bound = len(support) * _peak(self.num) * _peak(other.num)
+        a, b = _widen(self.num, bound), _widen(other.num, bound)
+        acc = np.zeros(len(b), dtype=np.result_type(a, b))
+        tables = [_tables(d) for d in self.degrees]
+        sizes = [len(inv) for _, inv in tables]
+        step = max(1, PRODUCT_CHUNK // len(b))
+        for start in range(0, len(support), step):
+            chunk = support[start : start + step]
+            digits = np.unravel_index(chunk, sizes)
+            rows = _mixed_radix([table[inv[h]] for (table, inv), h in zip(tables, digits)])
+            acc += a[chunk] @ b[rows]
+        return _element(self.degrees, acc, self.den * other.den)
 
     def antipode(self) -> "GroupAlgebraElement":
-        """Linear extension of g -> g^{-1}; coefficients are not conjugated."""
-        return GroupAlgebraElement(
-            self.degrees, {_key_inverse(k): v for k, v in self.data.items()}
-        )
+        """Linear extension of g -> g^{-1}: the vector read through the inverse index."""
+        inverse_index = _mixed_radix([_tables(d)[1][None] for d in self.degrees])[0]
+        return _element(self.degrees, self.num[inverse_index], self.den)
 
-    def identity_coefficient(self):
-        """The delta functional: coefficient of the group identity."""
-        e = tuple(identity_perm(d) for d in self.degrees)
-        return self.data.get(e, 0)
+    def identity_coefficient(self) -> Fraction:
+        """The delta functional: coefficient of the group identity, index 0."""
+        return Fraction(int(self.num[0]), self.den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.degrees == other.degrees
-            and self.data == other.data
-        )
+        same = isinstance(other, GroupAlgebraElement) and self.degrees == other.degrees
+        return same and self.den == other.den and np.array_equal(self.num, other.num)
 
     def __repr__(self) -> str:
-        return f"GroupAlgebraElement(degrees={self.degrees}, terms={len(self.data)})"
+        return f"GroupAlgebraElement(degrees={self.degrees}, terms={self.support_size()})"
+
+
+def _element(degrees: tuple[int, ...], num: np.ndarray, den: int) -> GroupAlgebraElement:
+    """The element num / den over _group_index(degrees)."""
+    out = object.__new__(GroupAlgebraElement)
+    out.degrees = degrees
+    out._set(num, den)
+    return out
 
 
 def identity_element(degrees) -> GroupAlgebraElement:
-    if isinstance(degrees, int):
-        degrees = (degrees,)
-    e = tuple(identity_perm(d) for d in degrees)
-    return GroupAlgebraElement(degrees, {e: Fraction(1)})
+    degrees = (degrees,) if isinstance(degrees, int) else tuple(degrees)
+    return GroupAlgebraElement(degrees, {tuple(identity_perm(d) for d in degrees): 1})
 
 
-def g_pair(a: GroupAlgebraElement, b: GroupAlgebraElement):
-    """The sesquilinear pairing delta(conj(antipode(a)) . b), by definition.
-
-    On basis elements this is [a == b], so for sparse a, b it reduces to
-    sum over shared support of conj(a_g) b_g; the full product is formed
-    anyway only when supports are tiny, so take the direct route.
+def g_pair(a: GroupAlgebraElement, b: GroupAlgebraElement) -> Fraction:
+    """The pairing delta(conj(antipode(a)) . b), by definition: [a == b] on
+    basis elements, so the dot product over den_a den_b (rationals need no conj).
     """
     if a.degrees != b.degrees:
         raise ValueError("mismatched groups")
-    acc = 0
-    small, big = (a, b) if len(a.data) <= len(b.data) else (b, a)
-    for k in small.data:
-        if k in big.data:
-            acc += _conj(a.data[k]) * b.data[k]
-    return acc
+    bound = len(a.num) * _peak(a.num) * _peak(b.num)
+    return Fraction(int(_widen(a.num, bound) @ _widen(b.num, bound)), a.den * b.den)
 
 
 def delta(a: GroupAlgebraElement):
@@ -280,9 +288,7 @@ def diagonal_orbit_sum(p: Perm, q: Perm) -> GroupAlgebraElement:
     if len(q) != n:
         raise ValueError("pair components must share a degree")
     if n > DIAGONAL_ORBIT_BOUND:
-        raise ValueError(
-            f"diagonal orbits are enumerated, capped at n <= {DIAGONAL_ORBIT_BOUND}"
-        )
+        raise ValueError(f"diagonal orbits are enumerated, capped at n <= {DIAGONAL_ORBIT_BOUND}")
     orbit = set()
     for g in iter_permutations(range(n)):
         gi = inverse(g)
@@ -302,9 +308,7 @@ def subgroup_orbit_sum(sigma: Perm, m: int) -> GroupAlgebraElement:
     if not 0 <= m <= total:
         raise ValueError(f"block size {m} out of range for degree {total}")
     if total > SUBGROUP_ORBIT_BOUND:
-        raise ValueError(
-            f"subgroup orbits are enumerated, capped at m+n <= {SUBGROUP_ORBIT_BOUND}"
-        )
+        raise ValueError(f"subgroup orbits are enumerated, capped at m+n <= {SUBGROUP_ORBIT_BOUND}")
     orbit = set()
     for p in iter_permutations(range(m)):
         for q in iter_permutations(range(total - m)):
@@ -316,9 +320,7 @@ def subgroup_orbit_sum(sigma: Perm, m: int) -> GroupAlgebraElement:
 def class_sum(n: int, mu: Partition) -> GroupAlgebraElement:
     """Sum of all permutations of cycle type mu, coefficient one each."""
     mu = as_partition(mu)
-    return GroupAlgebraElement(
-        n, {(p,): Fraction(1) for p in permutations_of_type(n, mu)}
-    )
+    return GroupAlgebraElement(n, {(p,): 1 for p in permutations_of_type(n, mu)})
 
 
 def cycle_class_sum(n: int, k: int) -> GroupAlgebraElement:
@@ -329,33 +331,27 @@ def cycle_class_sum(n: int, k: int) -> GroupAlgebraElement:
 
 
 def projector_element(rep: Partition) -> GroupAlgebraElement:
-    """P_R = (d_R/n!) sum_sigma chi^R(type sigma) sigma, exact Fractions."""
+    """P_R = (d_R/n!) sum_sigma chi^R(type sigma) sigma, exact."""
     rep = as_partition(rep)
     n = sum(rep)
-    d = dimension(rep)
-    nf = factorial(n)
     chi = {mu: character(rep, mu) for mu in partitions(n)}
-    data = {}
-    for p in iter_permutations(range(n)):
-        c = chi[cycle_type(p)]
-        if c:
-            data[(p,)] = Fraction(d * c, nf)
-    return GroupAlgebraElement(n, data)
+    num = np.array([dimension(rep) * chi[cycle_type(p)] for (p,) in _group_index((n,))[0]])
+    return _element((n,), num, factorial(n))
 
 
 def tensor(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Outer tensor: lives in the product group algebra."""
-    data = {}
-    for ka, va in a.data.items():
-        for kb, vb in b.data.items():
-            data[ka + kb] = va * vb
-    return GroupAlgebraElement(a.degrees + b.degrees, data)
+    """Outer tensor: the raveled outer product, as the pair index is mixed radix."""
+    bound = _peak(a.num) * _peak(b.num)
+    num = np.outer(_widen(a.num, bound), _widen(b.num, bound)).ravel()
+    return _element(a.degrees + b.degrees, num, a.den * b.den)
 
 
 def diagonal_map(a: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Coproduct on the group basis: sigma -> sigma x sigma."""
-    data = {k + k: v for k, v in a.data.items()}
-    return GroupAlgebraElement(a.degrees + a.degrees, data)
+    """Coproduct on the group basis: sigma -> sigma x sigma, index i -> i |G| + i."""
+    size = len(a.num)
+    num = np.zeros(size * size, dtype=a.num.dtype)
+    num[np.arange(size) * (size + 1)] = a.num
+    return _element(a.degrees + a.degrees, num, a.den)
 
 
 def embed_product(a: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -363,8 +359,8 @@ def embed_product(a: GroupAlgebraElement) -> GroupAlgebraElement:
     if len(a.degrees) != 2:
         raise ValueError("expected a two-factor element")
     m, n = a.degrees
-    data = {}
-    for (p, q), v in a.data.items():
-        joined = tuple(p) + tuple(m + x for x in q)
-        data[(joined,)] = v
-    return GroupAlgebraElement(m + n, data)
+    index = _group_index((m + n,))[1]
+    joined = [index[(p + tuple(m + x for x in q),)] for p, q in _group_index(a.degrees)[0]]
+    num = np.zeros(len(index), dtype=a.num.dtype)
+    num[joined] = a.num
+    return _element((m + n,), num, a.den)

@@ -509,7 +509,7 @@ def holographic_roundtrip(
 
     lam defaults to moment_cutoff(n, N), the shortest prefix the table match
     needs; small cutoffs also keep the float magnitudes far from the integer
-    rounding threshold.
+    rounding threshold. An exact A_l past 2^53 is refused before sampling.
     """
     rep = as_partition(rep)
     n = sum(rep)
@@ -517,6 +517,11 @@ def holographic_roundtrip(
         lam = moment_cutoff(n, capital_n)
     config = fermion_config(rep, capital_n)
     a_input = casimir_sums(config, lam)
+    for l, a in enumerate(a_input):
+        if abs(a) >= EXACT_FLOAT_BOUND:
+            raise ArithmeticError(
+                f"exact Casimir A_{l} is past 2^53, so a float cannot pin its integer"
+            )
     profile = u_profile(config, rho, lam)
     dft = dft_extract(profile)
     solved = solve_U(dft.bins, jacobi_coeffs(lam), rho)

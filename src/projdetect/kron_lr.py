@@ -32,6 +32,7 @@ from .symgroup import (
     character,
     class_size,
     dimension,
+    format_partition,
     partitions,
 )
 
@@ -172,7 +173,7 @@ class MultiFamilyTranscript:
             "sizes": list(self.sizes),
             "seed": self.seed,
             "families": self.families,
-            "detected": [",".join(map(str, p)) for p in self.detected],
+            "detected": [format_partition(p) for p in self.detected],
             "cu_queries": self.counters.cu_queries,
             "total_gates": self.counters.total_gates,
         }

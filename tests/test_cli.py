@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -20,6 +21,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn_cli(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m projdetect.cli argv` in a child that imports this package's source."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "projdetect.cli", *argv], env=env, **kwargs)
 
 
 def test_chars_n0_single_empty_row(capsys):
@@ -125,6 +134,8 @@ def test_unknown_subcommand_usage_error(capsys):
         "holo cost --lambda 126 --beta 1",
         "holo cost --lambda 8 --beta 1e308",
         "holo roundtrip --n 2 --capital-n 3 --lambda 600 --r 2",
+        "holo roundtrip --n 2 --capital-n 25 --lambda 0 --r 2",
+        "holo roundtrip --n 1 --capital-n 1000000000",
     ],
     ids=lambda argv: argv.replace(" ", "_"),
 )
@@ -150,6 +161,10 @@ def test_out_of_range_flag_usage_error(capsys, argv):
         (
             "holo roundtrip --n 2 --capital-n 3 --lambda 600 --r 2",
             "--lambda = 600 is past the holo limit of 125",
+        ),
+        (
+            "holo roundtrip --n 24 --capital-n 25",
+            "--capital-n = 25 is past the holo limit of 24",
         ),
         (
             "holo cost --lambda 8 --beta 1e308",
@@ -239,8 +254,8 @@ def test_closed_stdout_usage_error():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "projdetect.cli", "chars", "--n", "14"],
+        proc = spawn_cli(
+            ["chars", "--n", "14"],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
@@ -293,6 +308,14 @@ def test_holo_roundtrip_all_match(capsys):
     assert len(data["rows"]) == 5
 
 
+def test_capital_n_cap_is_accepted(capsys):
+    code, out, _ = invoke(
+        capsys, "holo", "roundtrip", "--n", "1", "--capital-n", str(cli.CAPITAL_N_CAP), "--r", "1"
+    )
+    assert code == 0
+    assert out.startswith("rep=1 recovered=1 match=True")
+
+
 def test_holo_profile_csv(capsys):
     code, out, _ = invoke(
         capsys,
@@ -320,8 +343,8 @@ def test_report_runs(capsys):
 
 
 def test_console_script_entry():
-    proc = subprocess.run(
-        [sys.executable, "-m", "projdetect.cli", "kstar", "--n-max", "4", "--json"],
+    proc = spawn_cli(
+        ["kstar", "--n-max", "4", "--json"],
         capture_output=True,
         text=True,
     )

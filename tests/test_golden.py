@@ -133,6 +133,16 @@ def test_cli_golden(golden, monkeypatch, argv):
     assert cli_output(argv) == recorded[tuple(argv)]
 
 
+@pytest.mark.parametrize("argv", golden_argv(), ids="_".join)
+def test_out_file_matches_stdout(golden, monkeypatch, tmp_path, argv):
+    """--out writes the golden stdout bytes: one final newline on both paths."""
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    code, stdout = {tuple(a): [c, s] for a, c, s in golden["cli"]}[tuple(argv)]
+    target = tmp_path / "out"
+    assert cli_output([*argv, "--out", str(target)]) == [code, ""]
+    assert (target.read_bytes() if target.exists() else b"") == stdout.encode()
+
+
 def test_library_golden(golden):
     assert library_outputs() == golden["library"]
 

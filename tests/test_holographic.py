@@ -6,6 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from projdetect import holographic
 from projdetect.centre import k_star
 from projdetect.holographic import (
     FermionConfig,
@@ -186,6 +187,19 @@ def test_solve_u_refuses_casimirs_past_2_53(lam):
     30 and 40 a residual of 0, since every float that large is an integer."""
     with pytest.raises(ArithmeticError, match="2\\^53"):
         solve_profile((2,), 3, lam)
+
+
+def test_roundtrip_refuses_exact_casimirs_past_2_53_before_sampling(monkeypatch):
+    """The exact A_l are checked before any sampling, and the error names the
+    first l past 2^53; the sampled route blamed A_0, whose exact value is 3."""
+
+    def sample(*args):
+        raise AssertionError("the profile was sampled")
+
+    monkeypatch.setattr(holographic, "u_profile", sample)
+    assert casimir_sums(fermion_config((2,), 3), 15)[14] < 2**53
+    with pytest.raises(ArithmeticError, match="A_15 is past 2\\^53"):
+        holographic_roundtrip((2,), 3, lam=125)
 
 
 def test_solve_u_refuses_a_wide_residual():

@@ -82,6 +82,39 @@ def test_parse_and_format_roundtrip():
         as_partition((3, 0))
 
 
+PARTITIONS_TO_20 = st.integers(min_value=0, max_value=20).flatmap(
+    lambda n: st.sampled_from(partitions(n))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PARTITIONS_TO_20)
+def test_partition_text_round_trip(p):
+    assert parse_partition(format_partition(p)) == p
+
+
+def malformed(p, fault: str, where: int) -> str:
+    """Text of the nonempty partition p with one fault at token position where."""
+    tokens = [str(x) for x in p]
+    at = where % (len(tokens) + 1)
+    if fault == "increasing parts":
+        tokens.append(str(p[-1] + 1))
+    else:
+        tokens.insert(at, {"zero part": "0", "bad token": "x", "stray comma": ""}[fault])
+    return ",".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    PARTITIONS_TO_20.filter(bool),
+    st.sampled_from(["zero part", "increasing parts", "bad token", "stray comma"]),
+    st.integers(min_value=0, max_value=20),
+)
+def test_malformed_partition_text_is_refused(p, fault, where):
+    with pytest.raises(ValueError, match="not a partition"):
+        parse_partition(malformed(p, fault, where))
+
+
 def test_dimension_examples():
     # hook lengths for [3,3]: 4,3,2 / 3,2,1 -> 720/144 = 5
     assert dimension((3, 3)) == 5
