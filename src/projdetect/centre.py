@@ -5,14 +5,25 @@ central idempotents P_R are both bases of the centre; the change of basis is
 the character table. Class-sum eigenvalues on P_R are the normalized
 characters, exact integers, and short prefixes of them separate the
 idempotents: k_star(n) is the shortest prefix length that works.
+
+Every eigenvalue here is read from one cached column per (n, k) over
+partitions(n). content_column(n, j) holds the content power sums p_j, and
+eigenvalue_column(n, k) derives T_k from p_0..p_{k-1} by an integer
+recurrence (eigenvalue_from_contents). k_star refines on the p-columns
+alone; signature_table, chi_max, normalized_character and the detectors'
+round phases read the T-columns. The per-cell content_sum and
+symgroup.normalized_character_exact are the tests' referees.
 """
 
 from fractions import Fraction
-from functools import cache
-from math import factorial, log
+from functools import cache, lru_cache
+from itertools import accumulate, chain
+from math import comb, factorial, log, perm
 from types import MappingProxyType
 import csv
 import io
+
+import numpy as np
 
 from .symgroup import (
     Partition,
@@ -21,11 +32,15 @@ from .symgroup import (
     class_size,
     dimension,
     format_partition,
-    normalized_character_exact,
+    partition_index,
     partitions,
 )
 
 STRUCTURE_CONSTANT_BOUND = 8
+
+# Diagrams per block when content_column sums rows; it bounds the per-row
+# temporaries, which at n = 38 would otherwise reach a few MB per column.
+_BLOCK = 4096
 
 
 def cycle_class_size(n: int, k: int) -> int:
@@ -35,25 +50,158 @@ def cycle_class_size(n: int, k: int) -> int:
     return factorial(n) // (k * factorial(n - k))
 
 
-def normalized_character(rep: Partition, k: int) -> int:
-    """Eigenvalue of the k-cycle class sum on the projector labelled rep."""
-    return normalized_character_exact(as_partition(rep), k)
-
-
 def content_sum(rep: Partition, power: int = 1) -> int:
-    """p_power: the sum of (j - i)**power over diagram cells (i, j), 0-based."""
+    """p_power: the sum of (j - i)**power over diagram cells (i, j), 0-based.
+
+    One diagram, cell by cell; the referee of content_column.
+    """
     rep = as_partition(rep)
     return sum(c**power for i, r in enumerate(rep) for c in range(-i, r - i))
+
+
+@lru_cache(maxsize=1)
+def _rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of every diagram of n back to back, and each diagram's part count.
+
+    One byte per row and one per diagram, as uint8: a part or a part count
+    of n fits below 256 wherever partitions(n) fits in memory. Only the
+    last n's rows are kept, which is what k_star and then signature_table
+    read one content column after another.
+    """
+    reps = partitions(n)
+    return (
+        np.frombuffer(bytes(chain.from_iterable(reps)), np.uint8),
+        np.frombuffer(bytes(map(len, reps)), np.uint8),
+    )
+
+
+def _row_blocks(n: int):
+    """The rows of partitions(n), up to _BLOCK diagrams at a time.
+
+    Yields (first diagram, hi, lo, first row of each diagram): row i of
+    length r holds the contents -i..r-1-i, which are the prefix-table
+    entries lo = n - i up to hi = n - i + r, exclusive. The int32 arrays
+    have one entry per row of the block, none per cell.
+    """
+    parts, counts = _rows(n)
+    first_row = 0
+    for start in range(0, len(counts), _BLOCK):
+        block = counts[start : start + _BLOCK].astype(np.int32)
+        heads = np.zeros(len(block), np.int32)
+        np.cumsum(block[:-1], out=heads[1:])
+        end_row = first_row + int(heads[-1] + block[-1])
+        lo = n - (np.arange(end_row - first_row, dtype=np.int32) - np.repeat(heads, block))
+        yield start, lo + parts[first_row:end_row], lo, heads
+        first_row = end_row
+
+
+@cache
+def content_column(n: int, power: int) -> np.ndarray:
+    """p_power of every diagram of n, in partitions(n) order; read-only.
+
+    A row's sum is a difference of two entries of the prefix sums of
+    c**power over c in [-n, n], and reduceat adds each diagram's rows. Every
+    prefix entry is at most (2n+1) n**power in size and every partial sum
+    at most n**(power+1), so int64 is exact below that bound; past it the
+    column holds Python ints (dtype object).
+    """
+    if n < 1 or power < 0:
+        raise ValueError(f"need n >= 1 and power >= 0, got n={n}, power={power}")
+    dtype = np.int64 if (2 * n + 1) * n**power < 2**63 else object
+    prefix = np.array([0, *accumulate(c**power for c in range(-n, n + 1))], dtype=dtype)
+    column = np.empty(len(partitions(n)), dtype)
+    for start, hi, lo, heads in _row_blocks(n):
+        column[start : start + len(heads)] = np.add.reduceat(prefix[hi] - prefix[lo], heads)
+    column.flags.writeable = False
+    return column
+
+
+def eigenvalue_from_contents(k: int, p):
+    """T_k from the content power sums p = (p_0, ..., p_{k-1}), in integers.
+
+    Frobenius' formula in contents (see k_star) with x = 1/w: the cell
+    product is exp(sum_m l_m x^m / m), where, with
+    a_e = k^e + (-1)^e - (k-1)^e,
+        l_m = -sum_{j <= m-2} C(m, j) a_{m-j} p_j.
+    G_r = r! [x^r] exp(...) obeys G_0 = 1 and
+        G_r = sum_{m=2}^{r} l_m (r-1)!/(r-m)! G_{r-m},
+    and w(w-1)...(w-k+1) = sum_j s(k, j) w^j with s the signed Stirling
+    numbers of the first kind, so
+        T_k = -sum_j s(k, j) (k+1)!/(j+1)! G_{j+1} / (k^2 (k+1)!).
+    The p_j may be ints or integer arrays, one entry per diagram; the result
+    is of the same kind. A remainder in the last division means the formula
+    or its input is wrong, so it raises.
+    """
+    if k < 2 or len(p) < k:
+        raise ValueError(f"need k >= 2 and p_0..p_{k - 1}, got k={k}, {len(p)} sums")
+    num, den = _frobenius(k, p)
+    if np.any(num % den):
+        raise ArithmeticError(f"T_{k} from content power sums is not an integer")
+    return num // den
+
+
+def _frobenius(k: int, p, sign=int):
+    """(numerator, denominator) of T_k in eigenvalue_from_contents.
+
+    sign is applied to every signed coefficient: int keeps it. abs, given
+    bounds on the |p_j|, makes the numerator a bound on every value the int
+    version computes, since each is a sum of products that the abs version
+    adds without cancellation.
+    """
+    a = [sign(k**e + (-1) ** e - (k - 1) ** e) for e in range(k + 2)]
+    ell = [0, 0] + [
+        sign(-1) * sum(comb(m, j) * a[m - j] * p[j] for j in range(m - 1))
+        for m in range(2, k + 2)
+    ]
+    g = [1]
+    for r in range(1, k + 2):
+        g.append(sum(ell[m] * perm(r - 1, m - 1) * g[r - m] for m in range(2, r + 1)))
+    stirling = [1]  # s(k, 0..k), the coefficients of w(w-1)...(w-k+1)
+    for i in range(k):
+        stirling = [
+            (stirling[j - 1] if j else 0) - (i * stirling[j] if j < len(stirling) else 0)
+            for j in range(len(stirling) + 1)
+        ]
+    top = factorial(k + 1)
+    terms = (sign(s) * (top // factorial(j + 1)) * g[j + 1] for j, s in enumerate(stirling) if s)
+    return sign(-1) * sum(terms), k * k * top
+
+
+@cache
+def eigenvalue_column(n: int, k: int) -> np.ndarray:
+    """T_k eigenvalue of every diagram of n, in partitions(n) order; read-only.
+
+    eigenvalue_from_contents on content_column(n, 1..k-1), with p_0 = n. It
+    runs in int64 when _frobenius bounds every intermediate value below 2^63
+    from |p_j| <= n (n-1)^j, and on Python ints (dtype object) otherwise. The
+    column is int64 where |T_k| <= |C_k| fits.
+    """
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    bound, den = _frobenius(k, [n * (n - 1) ** j for j in range(k)], abs)
+    dtype = np.int64 if max(bound, den) < 2**63 else object
+    p = [n] + [content_column(n, j).astype(dtype) for j in range(1, k)]
+    fits = cycle_class_size(n, k) < 2**63
+    column = np.asarray(eigenvalue_from_contents(k, p), dtype=np.int64 if fits else object)
+    column.flags.writeable = False
+    return column
+
+
+def normalized_character(rep: Partition, k: int) -> int:
+    """Eigenvalue of the k-cycle class sum on the projector labelled rep."""
+    rep = as_partition(rep)
+    n = sum(rep)
+    return int(eigenvalue_column(n, k)[partition_index(n)[rep]])
 
 
 def chi_max(n: int, k: int) -> int:
     """Largest T_k eigenvalue over all diagrams with n boxes.
 
-    Computed by scanning every diagram, then asserted equal to the closed
-    form |T_k|, attained on the one-row diagram. A mismatch means the
-    character machinery is broken, so it raises rather than returns.
+    Computed by scanning the eigenvalue column, then asserted equal to the
+    closed form |T_k|, attained on the one-row diagram. A mismatch means the
+    eigenvalue machinery is broken, so it raises rather than returns.
     """
-    best = max(normalized_character(rep, k) for rep in partitions(n))
+    best = int(eigenvalue_column(n, k).max())
     if best != cycle_class_size(n, k):
         raise ArithmeticError(
             f"scan maximum {best} != |T_{k}| = {cycle_class_size(n, k)} at n={n}"
@@ -74,15 +222,18 @@ def signature(rep: Partition, upto: int) -> tuple[int, ...]:
 def signature_table(n: int) -> MappingProxyType[tuple[int, ...], Partition]:
     """Map from (T_2..T_k*) eigenvalue tuples to the diagram carrying them.
 
-    Built once per n, in partitions(n) order, and read-only because every
-    caller in the process shares it. k_star(n) separates every diagram by
-    definition, so a shared signature means the cutoff or the characters
-    are broken, and it raises rather than returns.
+    Built once per n by zipping the eigenvalue columns in partitions(n)
+    order, and read-only because every caller in the process shares it.
+    k_star(n) separates every diagram by definition, so a shared signature
+    means the cutoff or the eigenvalues are broken, and it raises rather
+    than returns.
     """
     upto = k_star(n)
+    if upto < 2:
+        raise ValueError(f"need 2 <= upto <= n, got {upto}, n={n}")
+    columns = [eigenvalue_column(n, k).tolist() for k in range(2, upto + 1)]
     table: dict[tuple[int, ...], Partition] = {}
-    for rep in partitions(n):
-        sig = signature(rep, upto)
+    for rep, sig in zip(partitions(n), zip(*columns)):
         if sig in table:
             raise ArithmeticError(
                 f"{table[sig]} and {rep} share signature {sig} at k*={upto}, n={n}"
@@ -104,8 +255,8 @@ def signature_table_csv(n: int) -> str:
 def k_star(n: int) -> int:
     """Least K with (T_2..T_K) eigenvalues distinct across diagrams.
 
-    Computed without one eigenvalue, from the content power sums
-    p_j = content_sum(rep, j): (T_2..T_K) separates exactly where
+    Computed without one eigenvalue, from the content power sums p_j, one
+    content_column at a time: (T_2..T_K) separates exactly where
     (p_1..p_{K-1}) does, because T_k = p_{k-1} + f_k(n, p_1..p_{k-2}) for a
     polynomial f_k. Proof sketch: by Frobenius' formula in contents,
         T_k = -k^-2 [w^-1] w(w-1)...(w-k+1)
@@ -115,25 +266,24 @@ def k_star(n: int) -> int:
     c^m of degree m-2 in c. So p_j first appears in the w^-(j+2) term, and
     p_{k-1} reaches [w^-1] only through m = k+1, linearly and with
     coefficient -k^2 before the -k^-2 prefactor; everything else is a
-    polynomial in n and lower p_j. Group refinement keeps the work lazy: p_K
-    is only summed for diagrams still sharing a prefix with something else.
+    polynomial in n and lower p_j. eigenvalue_from_contents evaluates the
+    same formula. Each diagram carries an integer group id, refined by
+    np.unique over (id, p_K) pairs until the ids are distinct, so p_K is
+    only built while some diagrams still share a prefix.
     k*(1) = 1, since one diagram is separated by the empty prefix; for
     n >= 2, 2 <= k*(n) <= n because the cycle class sums generate the centre.
     """
     if n < 1:
         raise ValueError("cutoff needs n >= 1")
-    k, groups = 1, [partitions(n)]
-    while groups := [g for g in groups if len(g) > 1]:
+    ids = np.zeros(len(partitions(n)), np.int64)
+    k, groups = 1, 1
+    while groups < len(ids):
         k += 1
         if k > n:
             raise AssertionError(f"no separating prefix up to T_{n} for n={n}")
-        refined: list[list[Partition]] = []
-        for group in groups:
-            buckets: dict[int, list[Partition]] = {}
-            for rep in group:
-                buckets.setdefault(content_sum(rep, k - 1), []).append(rep)
-            refined.extend(buckets.values())
-        groups = refined
+        _, values = np.unique(content_column(n, k - 1), return_inverse=True)
+        pairs, ids = np.unique(ids * len(ids) + values, return_inverse=True)
+        groups = len(pairs)
     return k
 
 
@@ -168,7 +318,7 @@ def structure_constants(n: int, mu: Partition):
             f"structure constants are brute-force counted, capped at n <= {STRUCTURE_CONSTANT_BOUND}"
         )
     labels = partitions(n)
-    index = {lam: i for i, lam in enumerate(labels)}
+    index = partition_index(n)
     c_mu = list(permutations_of_type(n, mu))
     matrix = [[0] * len(labels) for _ in labels]
     for lam in labels:

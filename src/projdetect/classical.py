@@ -29,7 +29,13 @@ from statistics import median
 
 import numpy as np
 
-from .centre import cycle_class_size, k_star, normalized_character, signature_table
+from .centre import (
+    cycle_class_size,
+    eigenvalue_column,
+    k_star,
+    normalized_character,
+    signature_table,
+)
 from .symgroup import (
     Partition,
     as_partition,
@@ -321,7 +327,6 @@ def estimate_eigenvalue(
     sample = l2_inner_product(x, y, epsilon_sq, delta=delta, rng=rng)
     ratio = sample.value / x._norm_sq
     value = _round_half_up(ratio)
-    column = {normalized_character(r, k) for r in partitions(n)}
     return EigenvalueEstimate(
         rep=rep,
         k=k,
@@ -329,7 +334,7 @@ def estimate_eigenvalue(
         raw=ratio,
         epsilon=sample.epsilon,
         epsilon_star=epsilon_star(rep, k),
-        flagged=value not in column,
+        flagged=not (eigenvalue_column(n, k) == value).any(),
         sample=sample,
     )
 

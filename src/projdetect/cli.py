@@ -10,9 +10,10 @@ are written comma-joined ("3,2,1"), triples semicolon-joined
 
 The default seed is 0; the environment variable PROJDETECT_SEED overrides it
 when --seed is not given explicitly. A negative seed, a non-integer or negative
-PROJDETECT_SEED, a table past TABLE_CAPS, a holo --lambda past LAMBDA_CAP and a
-holo roundtrip --capital-n past CAPITAL_N_CAP are usage errors. Each handler
-returns (exit code, output text or None), and run() alone writes that text.
+PROJDETECT_SEED, a table past TABLE_CAPS, a size or trial count past SIZE_CAPS,
+a holo --lambda past LAMBDA_CAP and a holo roundtrip --capital-n past
+CAPITAL_N_CAP are usage errors. Each handler returns (exit code, output text
+or None), and run() alone writes that text.
 """
 
 from __future__ import annotations
@@ -33,6 +34,22 @@ SEED_ENV = "PROJDETECT_SEED"
 # (chars --n 18, kron --n 12, lr --m 0 --n 17), and one size more took 6 s
 # or longer. detect kron and detect lr build their size's table too.
 TABLE_CAPS = {"chars": 18, "kron": 12, "lr": 17}
+
+# Largest value of a flag that sets how many diagrams' content power sums,
+# eigenvalue columns or samples a command computes, by (command, flag). Cold
+# runs on the same VM, two or more per size: detect zcsn --n 53 took 2.4-2.7 s
+# and 54 took 3.0-3.1 s; kstar --signatures-for 50 took 2.5-3.0 s and 51
+# 3.1-3.4 s; kstar --n-max and report --n-max 47 took 2.4-2.6 s and 48
+# 2.8-3.2 s; detect classical --n 8 --r 8, the slowest diagram of 8, took
+# 2.5-2.7 s at 400 trials and 2.6-3.3 s at 500. A trial costs more at larger
+# --n.
+SIZE_CAPS = {
+    ("detect zcsn", "--n"): 53,
+    ("kstar", "--signatures-for"): 50,
+    ("kstar", "--n-max"): 47,
+    ("report", "--n-max"): 47,
+    ("detect classical", "--trials"): 400,
+}
 
 # Largest --lambda of the holo commands. holo cost --lambda 125 took 2.5 s on
 # the same VM; at 126 a Casimir sum A_l overflows a float after as long, and
@@ -128,6 +145,13 @@ def _table_preflight(args, parser: argparse.ArgumentParser, kind: str) -> None:
     if size > TABLE_CAPS[kind]:
         flags = "--m + --n" if kind == "lr" else "--n"
         parser.error(f"{flags} = {size} is past the {kind} table limit of {TABLE_CAPS[kind]}")
+
+
+def _size_preflight(parser: argparse.ArgumentParser, command: str, flag: str, value: int) -> None:
+    """Refuse, as a usage error, a flag value past its cap in SIZE_CAPS."""
+    cap = SIZE_CAPS[command, flag]
+    if value > cap:
+        parser.error(f"{flag} = {value} is past the {command} limit of {cap}")
 
 
 def _lambda_preflight(args, parser: argparse.ArgumentParser) -> None:
@@ -293,7 +317,9 @@ def _cmd_kstar(args, parser):
     if args.signatures_for is not None:
         if args.json:
             parser.error("kstar --signatures-for emits CSV only; drop --json")
+        _size_preflight(parser, "kstar", "--signatures-for", args.signatures_for)
         return 0, centre.signature_table_csv(args.signatures_for)
+    _size_preflight(parser, "kstar", "--n-max", args.n_max)
     rows = centre.k_star_growth_report(args.n_max)
     return 0, _pick(
         args,
@@ -340,6 +366,8 @@ def _cmd_detect(args, parser):
     label = label_arg(args, parser)
     if args.pipeline in TABLE_CAPS:
         _table_preflight(args, parser, args.pipeline)
+    else:
+        _size_preflight(parser, "detect zcsn", "--n", args.n)
     try:
         transcript = detect(label, _resolve_seed(args, parser))
     except ValueError as exc:
@@ -353,6 +381,7 @@ def _cmd_detect(args, parser):
 
 def _cmd_detect_classical(args, parser):
     rep = _diagram_arg(args, parser)
+    _size_preflight(parser, "detect classical", "--trials", args.trials)
     seed = _resolve_seed(args, parser)
     failures = 0
     first = None
@@ -505,6 +534,7 @@ def _cmd_holo_cost(args, parser):
 
 
 def _cmd_report(args, parser):
+    _size_preflight(parser, "report", "--n-max", args.n_max)
     quantum = detection.complexity_table(range(2, args.n_max + 1))
     sampling = classical.classical_complexity_report([6, 7, 8])
     holo = holographic.cutoff_comparison_table(min(args.n_max, 10))

@@ -17,8 +17,8 @@ import numpy as np
 from .centre import (
     CentreState,
     cycle_class_size,
+    eigenvalue_column,
     k_star,
-    normalized_character,
     projector_state,
     signature_table,
 )
@@ -30,7 +30,7 @@ from .qpe import (
     qpe_outcomes,
     sample_outcome,
 )
-from .symgroup import Partition, as_partition, format_partition, partitions
+from .symgroup import Partition, as_partition, format_partition, partition_index, partitions
 
 
 def t_bits(n: int, k: int) -> int:
@@ -86,10 +86,8 @@ def round_unitary(parts, size: int, k: int) -> tuple[int, DiagonalUnitary]:
     """(t, U) for the T_k round: system component i carries parts[i]'s eigenvalue."""
     t = t_bits(size, k)
     bound = cycle_class_size(size, k)
-    phase = {
-        rep: phase_encode(normalized_character(rep, k), bound, t)
-        for rep in dict.fromkeys(parts)
-    }
+    column, at = eigenvalue_column(size, k), partition_index(size)
+    phase = {rep: phase_encode(int(column[at[rep]]), bound, t) for rep in dict.fromkeys(parts)}
     return t, DiagonalUnitary(tuple(phase[rep] for rep in parts))
 
 

@@ -64,6 +64,12 @@ def partitions(n: int) -> tuple[Partition, ...]:
 
 
 @cache
+def partition_index(n: int) -> dict[Partition, int]:
+    """Position of each partition of n in partitions(n); shared, so never mutate it."""
+    return {p: i for i, p in enumerate(partitions(n))}
+
+
+@cache
 def _partitions_below(n: int, mx: int) -> tuple[Partition, ...]:
     if n == 0:
         return ((),)
@@ -212,7 +218,7 @@ class CharacterTable:
             raise ValueError("n must be nonnegative")
         self.n = n
         self.labels = partitions(n)
-        self.index = {p: i for i, p in enumerate(self.labels)}
+        self.index = partition_index(n)
         self.matrix = np.array(
             [[character(r, mu) for mu in self.labels] for r in self.labels], dtype=object
         )

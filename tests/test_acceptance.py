@@ -15,6 +15,7 @@ from math import ceil, factorial, floor, log, sqrt
 import numpy as np
 from conftest import record_criterion
 
+from projdetect import centre, symgroup
 from projdetect.centre import (
     content_sum,
     cycle_class_size,
@@ -69,6 +70,20 @@ def test_kstar_29_by_murnaghan_nakayama():
 def test_kstar_frozen_rows_27_to_41():
     """Criterion 1 checks 2..26 and 42; this covers the rows between."""
     assert {n: k_star(n) for n in range(27, 42)} == {n: EXPECTED_KSTAR[n] for n in range(27, 42)}
+
+
+def test_kstar_frozen_rows_43_to_50():
+    """Rows 43..50, past criterion 1's 42, from content power sums alone.
+
+    partitions(50) holds 204226 diagrams; the partition and content caches
+    that these sizes fill are dropped afterwards, so later tests run without
+    them.
+    """
+    try:
+        assert {n: k_star(n) for n in range(43, 51)} == {n: EXPECTED_KSTAR[n] for n in range(43, 51)}
+    finally:
+        for cached in (partitions, symgroup._partitions_below, centre.content_column):
+            cached.cache_clear()
 
 
 def test_criterion_01_kstar_table():

@@ -13,7 +13,10 @@ from projdetect.centre import (
     CentreState,
     chi_max,
     content_sum,
+    content_column,
     cycle_class_size,
+    eigenvalue_column,
+    eigenvalue_from_contents,
     k_star,
     k_star_growth_report,
     normalized_character,
@@ -23,7 +26,13 @@ from projdetect.centre import (
     signature_table_csv,
     structure_constants,
 )
-from projdetect.symgroup import class_size, conjugate, dimension, partitions
+from projdetect.symgroup import (
+    class_size,
+    conjugate,
+    dimension,
+    normalized_character_exact,
+    partitions,
+)
 
 
 def test_cycle_class_size_examples():
@@ -100,13 +109,14 @@ def test_kstar_needs_a_diagram():
 
 
 def test_kstar_evaluates_no_eigenvalue(monkeypatch):
-    """k_star reads content power sums only; the beta route may be broken."""
+    """k_star reads content power sums only; the eigenvalue route may be broken."""
 
-    def broken(rep, k):
+    def broken(k, p):
         raise AssertionError("k_star evaluated an eigenvalue")
 
-    monkeypatch.setattr(centre, "normalized_character_exact", broken)
+    monkeypatch.setattr(centre, "eigenvalue_from_contents", broken)
     k_star.cache_clear()
+    eigenvalue_column.cache_clear()
     try:
         with pytest.raises(AssertionError):
             normalized_character((2, 1), 2)
@@ -114,6 +124,7 @@ def test_kstar_evaluates_no_eigenvalue(monkeypatch):
             assert k_star(n) == KSTAR_ROWS[n]
     finally:
         k_star.cache_clear()
+        eigenvalue_column.cache_clear()
 
 
 def test_eigenvalue_triangular_in_content_power_sums():
@@ -129,6 +140,72 @@ def test_eigenvalue_triangular_in_content_power_sums():
                 prefix = tuple(content_sum(rep, j) for j in range(1, k - 1))
                 rest = normalized_character(rep, k) - content_sum(rep, k - 1)
                 assert rest_by_prefix.setdefault(prefix, rest) == rest, (n, k, rep)
+
+
+def test_content_columns_match_content_sum():
+    """The prefix-table columns against the per-cell sums, n <= 20, p_0..p_6."""
+    for n in range(1, 21):
+        for power in range(7):
+            column = content_column(n, power)
+            assert column.tolist() == [content_sum(rep, power) for rep in partitions(n)], (n, power)
+
+
+def test_eigenvalue_columns_match_beta_route():
+    """Every diagram of n <= 20, T_2..T_6, against the beta-number route."""
+    for n in range(2, 21):
+        for k in range(2, min(n, 6) + 1):
+            expected = [normalized_character_exact(rep, k) for rep in partitions(n)]
+            assert eigenvalue_column(n, k).tolist() == expected, (n, k)
+
+
+def test_eigenvalue_at_k_equals_n_past_int64():
+    """T_n on a few diagrams of each n <= 20, where p_{n-1} outgrows int64.
+
+    On the one-row diagram every n-cycle acts as 1, so T_n = |C_n| = (n-1)!;
+    at n = 20 that is 19! = 121645100408832000.
+    """
+    for n in range(2, 21):
+        reps = partitions(n)
+        for rep in {reps[0], reps[len(reps) // 2], reps[-1], reps[-2]}:
+            assert normalized_character(rep, n) == normalized_character_exact(rep, n), rep
+    assert normalized_character((20,), 20) == factorial(19) == 121645100408832000
+    dtypes = {content_column(20, power).dtype for power in range(20)}
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_eigenvalue_from_contents_takes_ints():
+    """The scalar form of the recurrence, fed per-cell sums, gives every T_k for n <= 9."""
+    for n in range(2, 10):
+        for rep in partitions(n):
+            p = [content_sum(rep, power) for power in range(n)]
+            for k in range(2, n + 1):
+                value = eigenvalue_from_contents(k, p[:k])
+                assert value == normalized_character(rep, k)
+                assert isinstance(value, int)
+
+
+def test_eigenvalue_from_contents_refuses_a_remainder():
+    """Sums that no diagram has can leave T_7 fractional; that raises."""
+    with pytest.raises(ArithmeticError):
+        eigenvalue_from_contents(7, [31, 8, -30, 15, 31, -14, 17])
+
+
+def test_signature_table_matches_beta_rebuild():
+    """n = 20..23: the column-built table, key for key and in order."""
+    for n in range(20, 24):
+        upto = k_star(n)
+        rebuilt = {
+            tuple(normalized_character_exact(rep, k) for k in range(2, upto + 1)): rep
+            for rep in partitions(n)
+        }
+        assert list(signature_table(n).items()) == list(rebuilt.items())
+
+
+def test_signature_table_refuses_a_shared_signature(monkeypatch):
+    """T_2 alone leaves collisions at n = 6, so a cutoff of 2 must raise."""
+    monkeypatch.setattr(centre, "k_star", lambda n: 2)
+    with pytest.raises(ArithmeticError, match="share signature"):
+        signature_table.__wrapped__(6)
 
 
 def _frobenius_content_eigenvalue(rep, k):

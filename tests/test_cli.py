@@ -174,6 +174,20 @@ def test_out_of_range_flag_usage_error(capsys, argv):
             "holo cost --lambda 2 --beta 1024",
             "--beta = 1024.0 is past the limit of 1023 at --lambda 2",
         ),
+        (
+            "detect zcsn --n 54 --r 54 --json",
+            "--n = 54 is past the detect zcsn limit of 53",
+        ),
+        ("kstar --n-max 48", "--n-max = 48 is past the kstar limit of 47"),
+        (
+            "kstar --n-max 2 --signatures-for 51",
+            "--signatures-for = 51 is past the kstar limit of 50",
+        ),
+        ("report --n-max 48 --json", "--n-max = 48 is past the report limit of 47"),
+        (
+            "detect classical --n 3 --r 2,1 --trials 401",
+            "--trials = 401 is past the detect classical limit of 400",
+        ),
     ],
 )
 def test_table_cap_names_its_limit(capsys, argv, limit):
@@ -221,6 +235,23 @@ def test_holo_limits_are_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "LAMBDA_CAP", 8)
     assert invoke(capsys, "holo", "cost", "--lambda", "8", "--beta", "1")[0] == 0
     assert invoke(capsys, "holo", "cost", "--lambda", "9", "--beta", "1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, argv",
+    [
+        ("detect zcsn", "--n", ["detect", "zcsn", "--r", "{0}", "--n"]),
+        ("kstar", "--n-max", ["kstar", "--n-max"]),
+        ("kstar", "--signatures-for", ["kstar", "--n-max", "2", "--signatures-for"]),
+        ("report", "--n-max", ["report", "--n-max"]),
+        ("detect classical", "--trials", ["detect", "classical", "--n", "3", "--r", "2,1", "--trials"]),
+    ],
+)
+def test_size_caps_are_inclusive(capsys, monkeypatch, command, flag, argv):
+    monkeypatch.setitem(cli.SIZE_CAPS, (command, flag), 4)
+    for value, code in ((4, 0), (5, 2)):
+        args = [a.format(value) for a in argv] + [str(value)]
+        assert invoke(capsys, *args)[0] == code, args
 
 
 def test_explicit_seed_beats_env(capsys, monkeypatch):

@@ -4,8 +4,10 @@ Both the package modules and the test files are checked.  The package's
 `__init__.py` is left out because its imports are the package's exports.
 No private or UPPER_CASE module-level name in the package may go unread by
 every package module. In the command line, only `run` writes a handler's
-output, and only through `_emit`.  The benchmark's tracer names library functions by
-module and attribute path; those names must keep resolving.
+output, and only through `_emit`.  Only `symgroup` names the beta-number
+eigenvalue route, the referee the tests hold the library's columns to.  The
+benchmark's tracer names library functions by module and attribute path;
+those names must keep resolving.
 """
 
 import ast
@@ -92,6 +94,21 @@ def test_no_unread_module_names():
     package = Path(projdetect.__file__).parent
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
     assert unread_module_names(sources) == []
+
+
+def test_beta_route_is_a_referee():
+    """Only symgroup names normalized_character_exact; the library reads eigenvalue columns."""
+    package = Path(projdetect.__file__).parent
+    naming = []
+    for path in sorted(package.glob("*.py")):
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))
+        }
+        if "normalized_character_exact" in names:
+            naming.append(path.name)
+    assert naming == ["symgroup.py"]
 
 
 def stray_output_calls(source: str) -> list[str]:
