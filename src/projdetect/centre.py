@@ -15,6 +15,7 @@ round phases read the T-columns. The per-cell content_sum and
 symgroup.normalized_character_exact are the tests' referees.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain
@@ -332,8 +333,9 @@ def structure_constants(n: int, mu: Partition):
 class LabelledState:
     """A state stored by its coefficients over a g-orthogonal idempotent basis.
 
-    A subclass passes its constructor's size arguments and its label set, in
-    canonical order, and supplies the canonical form of one label
+    A subclass passes its constructor's size arguments and its cached label
+    map, whose keys are the labels in canonical order, and supplies the
+    canonical form of one label
     (`as_label`), the text of the error raised for a label outside the set
     (`label_error`) and the squared g-norm of each basis idempotent
     (`norm_sq`). Coefficients stay exact (ints or Fractions) when the state
@@ -344,14 +346,13 @@ class LabelledState:
 
     size_error = "mismatched n"
 
-    def __init__(self, sizes: tuple[int, ...], labels: tuple, coeffs: dict):
+    def __init__(self, sizes: tuple[int, ...], labels: Mapping, coeffs: dict):
         self.sizes = sizes
         self.labels = labels
-        valid = set(labels)
         self.coeffs = {}
         for label, val in coeffs.items():
             label = self.as_label(label)
-            if label not in valid:
+            if label not in labels:
                 raise ValueError(self.label_error.format(label=label, n=self.n))
             if val != 0:
                 self.coeffs[label] = val
@@ -417,7 +418,7 @@ class CentreState(LabelledState):
 
     def __init__(self, n: int, coeffs: dict):
         self.n = n
-        super().__init__((n,), partitions(n), coeffs)
+        super().__init__((n,), partition_index(n), coeffs)
 
     def norm_sq(self, rep: Partition) -> Fraction:
         return Fraction(dimension(rep) ** 2, factorial(self.n))

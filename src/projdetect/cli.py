@@ -30,10 +30,13 @@ from .symgroup import CharacterTable, format_partition, parse_partition, partiti
 SEED_ENV = "PROJDETECT_SEED"
 
 # Largest size whose table a command builds: n for chars and kron, m + n for
-# lr. At each cap the slowest build took at most 3.0 s on a 2-vCPU VM
-# (chars --n 18, kron --n 12, lr --m 0 --n 17), and one size more took 6 s
-# or longer. detect kron and detect lr build their size's table too.
-TABLE_CAPS = {"chars": 18, "kron": 12, "lr": 17}
+# lr. At each cap the slowest build took at most 3.0 s cold on a 2-vCPU VM,
+# two or more runs per size. chars --n 25 took 1.8-2.3 s in each output
+# format and 26 2.4-3.4 s; lr --m 0 --n 17 took 1.9-2.5 s and --m 0 --n 18
+# 4.0-4.5 s, its object-array contraction now outweighing the character
+# tables; kron --n 12 took 3.0 s and 13 6 s or longer. detect kron and
+# detect lr build their size's table too.
+TABLE_CAPS = {"chars": 25, "kron": 12, "lr": 17}
 
 # Largest value of a flag that sets how many diagrams' content power sums,
 # eigenvalue columns or samples a command computes, by (command, flag). Cold
@@ -41,13 +44,17 @@ TABLE_CAPS = {"chars": 18, "kron": 12, "lr": 17}
 # and 54 took 3.0-3.1 s; kstar --signatures-for 50 took 2.5-3.0 s and 51
 # 3.1-3.4 s; kstar --n-max and report --n-max 47 took 2.4-2.6 s and 48
 # 2.8-3.2 s; detect classical --n 8 --r 8, the slowest diagram of 8, took
-# 2.5-2.7 s at 400 trials and 2.6-3.3 s at 500. A trial costs more at larger
-# --n.
+# 2.5-2.7 s at 400 trials and 2.6-3.3 s at 500. One classical trial at
+# --n 16, the slowest diagrams (16) and (1^16), took 0.4-0.5 s cold, but at
+# --n 17 the one-row diagram's sample count passes 2^63 and numpy's
+# multinomial draw raises, so --n stops at 16 before the clock does. A trial
+# costs more at larger --n: about 6 ms at 8 and 0.1 s at 16, in process.
 SIZE_CAPS = {
     ("detect zcsn", "--n"): 53,
     ("kstar", "--signatures-for"): 50,
     ("kstar", "--n-max"): 47,
     ("report", "--n-max"): 47,
+    ("detect classical", "--n"): 16,
     ("detect classical", "--trials"): 400,
 }
 
@@ -381,6 +388,7 @@ def _cmd_detect(args, parser):
 
 def _cmd_detect_classical(args, parser):
     rep = _diagram_arg(args, parser)
+    _size_preflight(parser, "detect classical", "--n", args.n)
     _size_preflight(parser, "detect classical", "--trials", args.trials)
     seed = _resolve_seed(args, parser)
     failures = 0

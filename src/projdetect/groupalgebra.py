@@ -32,8 +32,11 @@ SUBGROUP_ORBIT_BOUND = 6
 
 # int64 arithmetic below this bound on every entry and sum, Python ints from it up
 INT64_BOUND = 2**62
-# product indices gathered at once (512 KiB)
-PRODUCT_CHUNK = 1 << 16
+# product indices gathered at once (256 KiB). A chunk holds a few arrays of
+# this size at a time; at 512 KiB they outgrew glibc's heap trim threshold in
+# a process that had freed no larger block, so every chunk faulted its pages
+# in again (about 110 minor faults per n = 4 pair product, a third of its time)
+PRODUCT_CHUNK = 1 << 15
 
 
 def identity_perm(n: int) -> Perm:

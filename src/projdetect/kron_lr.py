@@ -110,8 +110,13 @@ def pair_projector_norm_sq(r1: Partition, r2: Partition, r3: Partition) -> Fract
     n = sum(r1)
     if sum(r2) != n or sum(r3) != n:
         raise ValueError("all three diagrams must have the same size")
-    num = dimension(r1) * dimension(r2) * dimension(r3) * kron_labels(n).get(label, 0)
-    return Fraction(num, factorial(n) ** 2)
+    return _norm_sq(label, kron_labels(n), factorial(n) ** 2)
+
+
+def _norm_sq(label, table, denominator: int) -> Fraction:
+    """Product of a canonical triple's dimensions times its table entry, over denominator."""
+    r1, r2, r3 = label
+    return Fraction(dimension(r1) * dimension(r2) * dimension(r3) * table.get(label, 0), denominator)
 
 
 def kron_projector_brute(r1: Partition, r2: Partition, r3: Partition):
@@ -142,7 +147,7 @@ class TripleState(LabelledState):
         super().__init__((n,), kron_labels(n), coeffs)
 
     def norm_sq(self, label) -> Fraction:
-        return pair_projector_norm_sq(*label)
+        return _norm_sq(label, self.labels, factorial(self.n) ** 2)
 
 
 def pair_projector_state(r1, r2, r3) -> TripleState:
@@ -357,8 +362,7 @@ def lr_projector_norm_sq(rep, r1, r2) -> Fraction:
     m, n = sum(r1), sum(r2)
     if sum(rep) != m + n:
         raise ValueError(f"|{rep}| != {m} + {n}")
-    num = dimension(rep) * dimension(r1) * dimension(r2) * lr_labels(m, n).get(label, 0)
-    return Fraction(num, factorial(m + n))
+    return _norm_sq(label, lr_labels(m, n), factorial(m + n))
 
 
 def lr_projector_brute(rep, r1, r2):
@@ -386,7 +390,7 @@ class LrState(LabelledState):
         super().__init__((m, n), lr_labels(m, n), coeffs)
 
     def norm_sq(self, label) -> Fraction:
-        return lr_projector_norm_sq(*label)
+        return _norm_sq(label, self.labels, factorial(self.m + self.n))
 
 
 def lr_projector_state(rep, r1, r2) -> LrState:

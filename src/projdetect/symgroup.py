@@ -2,9 +2,12 @@
 
 Everything here is integer-exact: partitions are plain tuples in
 reverse-lexicographic order, dimensions come from the hook length formula,
-and ordinary characters from the Murnaghan-Nakayama border-strip recursion.
-No floating point enters this module: the character table's numpy arrays
-hold Python ints.
+and ordinary characters from the Murnaghan-Nakayama rule. The whole table
+of S_n is filled a block of columns at a time from the tables of smaller
+groups (character_matrix); the per-entry border-strip recursion
+(character) is the single-entry route and the table's test-held referee.
+No floating point enters this module: table entries are int64 only where a
+bound proves them exact, and Python ints otherwise.
 """
 
 from collections import Counter
@@ -203,14 +206,100 @@ def normalized_character_exact(rep: Partition, k: int) -> int:
     return int(value)
 
 
+def _rim_hooks(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rim hooks of every diagram of n, grouped by length k = 1..n.
+
+    Entry k - 1 holds three arrays, one item per k-rim hook: the diagram's row
+    in partitions(n), in ascending order; the row of what is left in
+    partitions(n - k); and whether the hook's height is odd. On beta
+    numbers, a hook moves one beta number b down to a free c < b, and its
+    height is the count of beta numbers strictly between c and b.
+    """
+    below = [partition_index(m) for m in range(n)]
+    hooks = [([], [], []) for _ in range(n)]
+    for row, rep in enumerate(partitions(n)):
+        beta = beta_numbers(rep)
+        rows = len(beta)
+        for pos, b in enumerate(beta):
+            height = 0
+            for c in range(b - 1, -1, -1):
+                if height < rows - 1 - pos and beta[pos + 1 + height] == c:
+                    height += 1
+                    continue
+                # rows pos .. pos + height - 1 take the next row's length less
+                # one, and row pos + height ends where c lands; rows left
+                # empty are the last ones
+                cut = pos + height
+                last = c - (rows - 1 - cut)
+                part = (
+                    rep[:pos]
+                    + tuple(x - 1 for x in rep[pos + 1 : cut + 1] if x > 1)
+                    + ((last,) if last else ())
+                    + rep[cut + 1 :]
+                )
+                where, into, odd = hooks[b - c - 1]
+                where.append(row)
+                into.append(below[n - b + c][part])
+                odd.append(height & 1)
+    return [tuple(np.array(a, dtype=np.int64) for a in group) for group in hooks]
+
+
+def _table_dtype(n: int, max_dim_below: int):
+    """int64 when n * (largest dimension of S_{n-1}) < 2^63, else object.
+
+    Every entry of X_n, and every partial sum of the rim-hook fill, is a sum
+    of at most n entries of smaller tables, each at most the largest
+    dimension of S_{n-1} in size (that maximum never decreases with n).
+    """
+    return np.int64 if n * max_dim_below < 2**63 else object
+
+
+@cache
+def character_matrix(n: int) -> np.ndarray:
+    """chi^R(mu) for R, mu in partitions(n), exact; read-only and shared.
+
+    Filled by the Murnaghan-Nakayama rule a block of columns at a time: for
+    mu = (k, rho), chi^R(mu) is the sum over the k-rim hooks h of R of
+    (-1)^ht(h) chi^(R - h)(rho). The classes whose first part is k are
+    contiguous in partitions(n), and their rho are, in the same order, the
+    last classes of partitions(n - k); so that block is S_k X_{n-k}[:, tail],
+    with S_k the signed hook-removal matrix from _rim_hooks. Entries are
+    int64 where _table_dtype proves it exact, and Python ints otherwise.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        out = np.ones((1, 1), dtype=np.int64)
+        out.flags.writeable = False
+        return out
+    # the last class of n - 1, the identity, holds its dimensions
+    dtype = _table_dtype(n, int(character_matrix(n - 1)[:, -1].max()))
+    size = len(partitions(n))
+    out = np.zeros((size, size), dtype=dtype)
+    stop = size
+    for k, (where, into, odd) in enumerate(_rim_hooks(n), start=1):
+        small = character_matrix(n - k)
+        # classes (k, rho) run from the last class down to the first (n)
+        width = sum(1 for rho in partitions(n - k) if not rho or rho[0] <= k)
+        terms = small[into, small.shape[1] - width :].astype(dtype)
+        terms[odd == 1] *= -1
+        firsts = np.flatnonzero(np.diff(where, prepend=-1))
+        out[where[firsts], stop - width : stop] = np.add.reduceat(terms, firsts, axis=0)
+        stop -= width
+    out.flags.writeable = False
+    return out
+
+
 class CharacterTable:
     """Full character table of S_n as one exact integer matrix.
 
     Rows (diagrams) and columns (classes) are both indexed by partitions of
     n in canonical (reverse-lexicographic) order. `matrix` is the p(n) x p(n)
-    numpy object array X of Python ints with X[R, mu] = chi^R(mu), and
-    `class_sizes` is the object vector w of |C_mu| in column order, so that
-    sum(w) == n!. Object arrays keep every product exact at any n.
+    numpy object array X of Python ints with X[R, mu] = chi^R(mu), copied
+    from character_matrix(n), the one fill route, and refereed in the tests
+    entry by entry against character. `class_sizes` is the object vector w
+    of |C_mu| in column order, so that sum(w) == n!. Object arrays keep every
+    product exact at any n.
     """
 
     def __init__(self, n: int):
@@ -219,9 +308,7 @@ class CharacterTable:
         self.n = n
         self.labels = partitions(n)
         self.index = partition_index(n)
-        self.matrix = np.array(
-            [[character(r, mu) for mu in self.labels] for r in self.labels], dtype=object
-        )
+        self.matrix = character_matrix(n).astype(object)
         self.class_sizes = np.array([class_size(mu) for mu in self.labels], dtype=object)
 
     def chi(self, rep: Partition, mu: Partition) -> int:

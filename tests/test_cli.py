@@ -119,7 +119,7 @@ def test_unknown_subcommand_usage_error(capsys):
         "kstar --n-max 1",
         "holo cutoff-table --n-max 0",
         "report --n-max -1",
-        "chars --n 19",
+        "chars --n 26",
         "chars --n 40",
         "kron --n 13",
         "kron --n 13 --table",
@@ -128,6 +128,7 @@ def test_unknown_subcommand_usage_error(capsys):
         "detect kron --n 13 --triple 13;13;13",
         "detect lr --m 9 --n 9 --triple 18;9;9",
         "detect classical --n 3 --r 2,1 --seed -1",
+        "detect classical --n 17 --r 17",
         "detect zcsn --n 6 --r 3,3 --seed -1",
         "detect kron --n 4 --triple 2,2;3,1;2,1,1 --seed -1",
         "detect lr --m 2 --n 2 --triple 3,1;2;1,1 --seed -1",
@@ -150,7 +151,7 @@ def test_out_of_range_flag_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv, limit",
     [
-        ("chars --n 19", "--n = 19 is past the chars table limit of 18"),
+        ("chars --n 26", "--n = 26 is past the chars table limit of 25"),
         ("kron --n 13 --json", "--n = 13 is past the kron table limit of 12"),
         ("lr --m 10 --n 8 --table", "--m + --n = 18 is past the lr table limit of 17"),
         (
@@ -187,6 +188,10 @@ def test_out_of_range_flag_usage_error(capsys, argv):
         (
             "detect classical --n 3 --r 2,1 --trials 401",
             "--trials = 401 is past the detect classical limit of 400",
+        ),
+        (
+            "detect classical --n 17 --r 17",
+            "--n = 17 is past the detect classical limit of 16",
         ),
     ],
 )
@@ -245,6 +250,7 @@ def test_holo_limits_are_inclusive(capsys, monkeypatch):
         ("kstar", "--signatures-for", ["kstar", "--n-max", "2", "--signatures-for"]),
         ("report", "--n-max", ["report", "--n-max"]),
         ("detect classical", "--trials", ["detect", "classical", "--n", "3", "--r", "2,1", "--trials"]),
+        ("detect classical", "--n", ["detect", "classical", "--r", "{0}", "--n"]),
     ],
 )
 def test_size_caps_are_inclusive(capsys, monkeypatch, command, flag, argv):

@@ -172,12 +172,16 @@ def test_tables_past_the_loop_obey_sum_rules_and_symmetries():
 
 def test_tables_refuse_inexact_characters(monkeypatch):
     """A single wrong character value breaks divisibility, and both builders raise."""
-    original = symgroup.character
+    original = symgroup.character_matrix
 
-    def broken(rep, mu):
-        return original(rep, mu) + (rep == (4,) and mu == (1, 1, 1, 1))
+    def broken(n):
+        x = original(n).copy()
+        if n == 4:
+            index = symgroup.partition_index(4)
+            x[index[(4,)], index[(1, 1, 1, 1)]] += 1
+        return x
 
-    monkeypatch.setattr(symgroup, "character", broken)
+    monkeypatch.setattr(symgroup, "character_matrix", broken)
     kron_labels.cache_clear()
     lr_labels.cache_clear()
     with pytest.raises(ArithmeticError):
@@ -299,6 +303,21 @@ def test_identity_expansion_sampling():
 def test_identity_lr_state_total_weight():
     state = identity_lr_state(2, 2)
     assert state.g_inner(state) == 1
+
+
+def test_state_norms_read_the_table_without_revalidating(monkeypatch):
+    """A state's norm_sq equals the public function's and runs no as_partition."""
+    states = [identity_pair_state(n) for n in (4, 5)] + [identity_lr_state(m, n) for m, n in ((2, 3), (3, 3))]
+    public = {TripleState: pair_projector_norm_sq, LrState: lr_projector_norm_sq}
+    expected = [[public[type(state)](*label) for label in state.labels] for state in states]
+
+    def refuse(parts):
+        raise AssertionError("a canonical label was validated again")
+
+    monkeypatch.setattr(kron_lr, "as_partition", refuse)
+    for state, norms in zip(states, expected):
+        assert [state.norm_sq(label) for label in state.labels] == norms
+        assert state.g_norm_sq() == 1
 
 
 def test_transcript_json_shape():

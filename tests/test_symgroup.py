@@ -3,14 +3,18 @@
 import json
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projdetect import symgroup
 from projdetect.symgroup import (
     CharacterTable,
     as_partition,
     character,
+    character_matrix,
+    centralizer_order,
     class_size,
     dimension,
     format_partition,
@@ -209,3 +213,83 @@ def test_empty_group_table():
     table = CharacterTable(0)
     assert table.labels == ((),)
     assert table.chi((), ()) == 1
+
+
+def test_table_matches_character_on_every_entry():
+    """The rim-hook fill against the per-entry recursion, every entry of n <= 12."""
+    for n in range(13):
+        table = CharacterTable(n)
+        expected = [[character(r, mu) for mu in table.labels] for r in table.labels]
+        assert table.matrix.tolist() == expected, n
+        assert {type(x) for x in table.matrix.flat} == {int}
+
+
+def test_table_columns_orthogonal_and_identity_column_is_dimension():
+    """n = 13..16: sum_R chi^R(mu) chi^R(nu) = z_mu [mu == nu], and chi(e) = dim.
+
+    Every such sum is at most n! <= 16! in size, so the int64 product is exact.
+    """
+    for n in range(13, 17):
+        x = character_matrix(n)
+        assert x.dtype == np.int64
+        labels = partitions(n)
+        z = np.diag([centralizer_order(mu) for mu in labels]).astype(np.int64)
+        assert np.array_equal(x.T @ x, z), n
+        assert x[:, -1].tolist() == [dimension(r) for r in labels], n
+
+
+def test_table_builds_without_the_per_entry_route(monkeypatch):
+    """CharacterTable has one fill route; character and _mn are only its referee."""
+
+    labels = partitions(9)
+    expected = [[character(r, mu) for mu in labels] for r in labels]
+
+    def refuse(*args):
+        raise AssertionError("the table fill called the per-entry route")
+
+    monkeypatch.setattr(symgroup, "character", refuse)
+    monkeypatch.setattr(symgroup, "_mn", refuse)
+    character_matrix.cache_clear()
+    try:
+        assert CharacterTable(9).matrix.tolist() == expected
+    finally:
+        character_matrix.cache_clear()
+
+
+def test_table_dtype_switch_is_pinned_to_the_bound():
+    """int64 exactly while n times the largest dimension of S_{n-1} is below 2^63.
+
+    With the largest dimensions from the hook length formula, the fill
+    switches to Python ints at n = 35; every table the tests build is int64.
+    """
+    assert symgroup._table_dtype(7, (2**63 - 1) // 7) is np.int64
+    assert symgroup._table_dtype(8, 2**60) is object
+    assert symgroup._table_dtype(3, 2**63 // 3 + 1) is object
+    largest = {n: max(dimension(r) for r in partitions(n)) for n in (33, 34)}
+    assert symgroup._table_dtype(34, largest[33]) is np.int64
+    assert symgroup._table_dtype(35, largest[34]) is object
+    assert largest[34] == 1579812376072320000
+    assert {character_matrix(n).dtype for n in range(17)} == {np.dtype(np.int64)}
+
+
+def test_object_route_matches_int64_route(monkeypatch):
+    """The Python-int fill, taken past the bound, gives the same tables."""
+    expected = {n: character_matrix(n).tolist() for n in range(11)}
+    monkeypatch.setattr(symgroup, "_table_dtype", lambda n, max_dim_below: object)
+    character_matrix.cache_clear()
+    try:
+        for n in range(1, 11):
+            x = character_matrix(n)
+            assert x.dtype == object
+            assert {type(v) for v in x.flat} == {int}
+            assert x.tolist() == expected[n], n
+    finally:
+        character_matrix.cache_clear()
+
+
+def test_character_matrix_is_read_only():
+    with pytest.raises(ValueError):
+        character_matrix(4)[0, 0] = 7
+    table = CharacterTable(4)
+    table.matrix[0, 0] = 7
+    assert character_matrix(4)[0, 0] == 1
