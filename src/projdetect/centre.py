@@ -11,7 +11,7 @@ partitions(n). content_column(n, j) holds the content power sums p_j, and
 eigenvalue_column(n, k) derives T_k from p_0..p_{k-1} by an integer
 recurrence (eigenvalue_from_contents). k_star refines on the p-columns
 alone; signature_table, chi_max, normalized_character and the detectors'
-round phases read the T-columns. The per-cell content_sum and
+round register values read the T-columns. The per-cell content_sum and
 symgroup.normalized_character_exact are the tests' referees.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from .symgroup import (
     Partition,
     as_partition,
-    character,
+    character_matrix,
     class_size,
     dimension,
     format_partition,
@@ -383,22 +383,19 @@ class LabelledState:
             raise ValueError("cannot normalize the zero state")
         return type(self)(*self.sizes, {r: v / norm for r, v in self.coeffs.items()})
 
-    def unit_amplitudes(self, order=None):
-        """Unit vector of amplitudes over the g-orthonormal idempotent basis.
+    def support(self) -> list:
+        """The labels with a nonzero coefficient, in canonical (descending) order."""
+        return sorted(self.coeffs, reverse=True)
+
+    def unit_amplitudes(self):
+        """Unit vector of amplitudes over the support's g-orthonormal idempotents.
 
         The orthonormal basis vectors are the idempotents scaled to unit
         g-norm, so the amplitude carried by label L is a_L sqrt(norm_sq(L)).
         This is the system state the QPE simulator consumes.
         """
-        import numpy as np
-
-        if order is None:
-            order = self.labels
         amps = np.array(
-            [
-                complex(self.coeffs.get(label, 0)) * self.amplitude_scale(label)
-                for label in order
-            ],
+            [complex(self.coeffs[label]) * self.amplitude_scale(label) for label in self.support()],
             dtype=complex,
         )
         norm = np.linalg.norm(amps)
@@ -432,31 +429,31 @@ class CentreState(LabelledState):
     def from_class_sums(cls, n: int, class_coeffs: dict) -> "CentreState":
         """Build from coefficients over the class sums T_mu.
 
-        a_R = sum_mu c_mu |C_mu| chi^R(mu) / d_R, the g-projection onto P_R.
+        a_R = sum_mu c_mu |C_mu| chi^R(mu) / d_R, the g-projection onto P_R:
+        one product of the character matrix with the weighted coefficients.
         """
-        cleaned = {as_partition(mu): v for mu, v in class_coeffs.items()}
-        coeffs = {}
-        for rep in partitions(n):
-            d = dimension(rep)
-            acc = 0
-            for mu, c in cleaned.items():
-                if sum(mu) != n:
-                    raise ValueError(f"|{mu}| != {n}")
-                acc += c * class_size(mu) * character(rep, mu)
-            val = Fraction(acc, d) if isinstance(acc, int) else acc / d
-            coeffs[rep] = val
-        return cls(n, coeffs)
+        index = partition_index(n)
+        weighted = np.zeros(len(index), dtype=object)
+        for mu, c in {as_partition(mu): c for mu, c in class_coeffs.items()}.items():
+            if sum(mu) != n:
+                raise ValueError(f"|{mu}| != {n}")
+            weighted[index[mu]] = c * class_size(mu)
+        sums = character_matrix(n).astype(object) @ weighted
+        return cls(n, {rep: _over(acc, dimension(rep)) for rep, acc in zip(index, sums)})
 
     def class_sum_coefficients(self) -> dict[Partition, object]:
         """Coefficients over the class-sum basis: c_mu = sum_R a_R d_R chi^R(mu)/n!."""
-        nf = factorial(self.n)
-        out = {}
-        for mu in partitions(self.n):
-            acc = 0
-            for rep, a in self.coeffs.items():
-                acc += a * dimension(rep) * character(rep, mu)
-            out[mu] = Fraction(acc, nf) if isinstance(acc, int) else acc / nf
-        return out
+        index = partition_index(self.n)
+        weighted = np.zeros(len(index), dtype=object)
+        for rep, a in self.coeffs.items():
+            weighted[index[rep]] = a * dimension(rep)
+        sums = weighted @ character_matrix(self.n).astype(object)
+        return {mu: _over(acc, factorial(self.n)) for mu, acc in zip(index, sums)}
+
+
+def _over(acc, divisor: int):
+    """acc / divisor, as a Fraction when acc is an int."""
+    return Fraction(acc, divisor) if isinstance(acc, int) else acc / divisor
 
 
 def projector_state(rep: Partition) -> CentreState:

@@ -22,15 +22,8 @@ from .centre import (
     projector_state,
     signature_table,
 )
-from .qpe import (
-    DiagonalUnitary,
-    GateCounters,
-    phase_decode,
-    phase_encode,
-    qpe_outcomes,
-    sample_outcome,
-)
-from .symgroup import Partition, as_partition, format_partition, partition_index, partitions
+from .qpe import GateCounters, phase_decode, qpe_outcomes, sample_outcome
+from .symgroup import Partition, as_partition, format_partition, partition_index
 
 
 def t_bits(n: int, k: int) -> int:
@@ -82,20 +75,26 @@ class DetectionTranscript:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def round_unitary(parts, size: int, k: int) -> tuple[int, DiagonalUnitary]:
-    """(t, U) for the T_k round: system component i carries parts[i]'s eigenvalue."""
+def round_values(parts, size: int, k: int) -> tuple[int, np.ndarray]:
+    """(t, m) for the T_k round: m[i] is parts[i]'s eigenvalue mod 2^t.
+
+    That is the register value two's-complement coding reads, phase_encode's
+    numerator; an eigenvalue past |T_k| raises as it does there.
+    """
     t = t_bits(size, k)
     bound = cycle_class_size(size, k)
-    column, at = eigenvalue_column(size, k), partition_index(size)
-    phase = {rep: phase_encode(int(column[at[rep]]), bound, t) for rep in dict.fromkeys(parts)}
-    return t, DiagonalUnitary(tuple(phase[rep] for rep in parts))
+    at = partition_index(size)
+    column = eigenvalue_column(size, k)[[at[rep] for rep in parts]]
+    if np.any(np.abs(column) > bound):
+        raise ValueError(f"a T_{k} eigenvalue exceeds its bound {bound} at n={size}")
+    return t, column.astype(np.int64 if t < 63 else object) % (1 << t)
 
 
 def run_family(amps, parts, size: int, rng, counters: GateCounters):
     """Run the rounds k = 2..k_star(size) of one signature family.
 
     System component i carries the T_k eigenvalue of parts[i], a diagram of
-    size. Every phase is on the register grid, so each round is read from
+    size, as an integer register value, so each round is read from
     qpe_outcomes' point masses and sampled by sample_outcome, with no
     register array. The post-measurement system state carries over between
     rounds, which in the exact-phase regime leaves it untouched; there is no
@@ -105,8 +104,8 @@ def run_family(amps, parts, size: int, rng, counters: GateCounters):
     """
     rounds = []
     for k in range(2, k_star(size) + 1):
-        t, unitary = round_unitary(parts, size, k)
-        outcomes = qpe_outcomes(unitary, amps, t)
+        t, values = round_values(parts, size, k)
+        outcomes = qpe_outcomes(values, amps, t)
         m, amps = sample_outcome(outcomes, rng)
         run = outcomes.counters
         rounds.append(
@@ -136,11 +135,11 @@ def alice_detect(state: CentreState, n: int, seed: int = 0) -> DetectionTranscri
     """
     if state.n != n:
         raise ValueError(f"state lives over S_{state.n}, asked about S_{n}")
-    labels = [rep for rep in partitions(n) if state.coeffs.get(rep)]
+    labels = state.support()
     rng = np.random.default_rng(seed)
     transcript = DetectionTranscript(n=n, seed=seed)
     transcript.rounds, key, _ = run_family(
-        state.unit_amplitudes(labels), labels, n, rng, transcript.counters
+        state.unit_amplitudes(), labels, n, rng, transcript.counters
     )
     table = signature_table(n)
     if key not in table:

@@ -104,15 +104,6 @@ def dim_K(n: int) -> int:
     return sum(v * v for v in kron_labels(n).values())
 
 
-def pair_projector_norm_sq(r1: Partition, r2: Partition, r3: Partition) -> Fraction:
-    """Squared g-norm of ptilde: d1 d2 d3 C / (n!)^2, also its delta value."""
-    r1, r2, r3 = label = _as_triple((r1, r2, r3))
-    n = sum(r1)
-    if sum(r2) != n or sum(r3) != n:
-        raise ValueError("all three diagrams must have the same size")
-    return _norm_sq(label, kron_labels(n), factorial(n) ** 2)
-
-
 def _norm_sq(label, table, denominator: int) -> Fraction:
     """Product of a canonical triple's dimensions times its table entry, over denominator."""
     r1, r2, r3 = label
@@ -197,10 +188,10 @@ def _detect_slots(state, families, what: str, seed: int) -> MultiFamilyTranscrip
     with exactly zero coefficient are dropped up front, so a projector state
     runs on a one-dimensional system.
     """
-    labels = [label for label in state.labels if state.coeffs.get(label)]
+    labels = state.support()
     rng = np.random.default_rng(seed)
     transcript = MultiFamilyTranscript(sizes=tuple(s for _, s in families), seed=seed)
-    amps = state.unit_amplitudes(labels)
+    amps = state.unit_amplitudes()
     detected = []
     for slot, (name, size) in enumerate(families):
         if len(partitions(size)) < 2:
@@ -354,15 +345,6 @@ def necklace_count(m: int, n: int) -> int:
     if acc.denominator != 1:
         raise ArithmeticError("part-coloring count came out non-integral")
     return int(acc)
-
-
-def lr_projector_norm_sq(rep, r1, r2) -> Fraction:
-    """Squared g-norm of P_R emb(P_R1 x P_R2): d_R d1 d2 g / (m+n)!."""
-    rep, r1, r2 = label = _as_triple((rep, r1, r2))
-    m, n = sum(r1), sum(r2)
-    if sum(rep) != m + n:
-        raise ValueError(f"|{rep}| != {m} + {n}")
-    return _norm_sq(label, lr_labels(m, n), factorial(m + n))
 
 
 def lr_projector_brute(rep, r1, r2):

@@ -10,13 +10,15 @@ inverse QFT's controlled-R_k gates and Hadamards.
   and counts each gate as it runs. It is the referee, and refuses a register
   above STATEVECTOR_BYTES_BOUND before allocating it.
 - The analytic route (qpe_outcomes, sample_outcome) is what the detectors
-  run. Every detector phase is on the t-bit grid, so each system column
-  lands on one register value with probability 1 and the register law is a
-  sum of point masses; no 2^t array is built. Its counters come from walking
-  the same schedule. Off-grid phases are refused.
+  run. It takes one integer register value m per system column, the phase
+  m/2^t on the t-bit grid, so each column lands on its value with
+  probability 1 and the register law is a sum of point masses; no 2^t array
+  and no float phase is built. Its counters come from walking the same
+  schedule.
 
-The closed forms offgrid_amplitude and phase_tail_bound are kept only as the
-tests' referees for off-grid input.
+DiagonalUnitary, phase_encode and float phases are the statevector route's
+input. The closed forms offgrid_amplitude and phase_tail_bound are kept only
+as the tests' referees for off-grid input.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class QpeState:
             raise ValueError(
                 f"a {t}-qubit register on a {sys.size}-dimensional system needs "
                 f"{nbytes} bytes, above STATEVECTOR_BYTES_BOUND = "
-                f"{STATEVECTOR_BYTES_BOUND}; qpe_outcomes reads on-grid phases "
+                f"{STATEVECTOR_BYTES_BOUND}; qpe_outcomes reads register values "
                 "without the register"
             )
         self.t = t
@@ -237,7 +239,7 @@ def measure_register(state: QpeState, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class QpeOutcomes:
-    """The register law of one on-grid round as point masses.
+    """The register law of one round as point masses.
 
     values are the distinct register values in increasing order, masses[i]
     is the probability of reading values[i], and system column s lands on
@@ -251,27 +253,28 @@ class QpeOutcomes:
     counters: GateCounters
 
 
-def qpe_outcomes(unitary: DiagonalUnitary, system_state, t: int) -> QpeOutcomes:
-    """qpe_run's register law in closed form, for phases on the t-bit grid.
+def qpe_outcomes(values, system_state, t: int) -> QpeOutcomes:
+    """qpe_run's register law in closed form, from one register value per column.
 
-    A phase m/2^t puts its whole column on register value m, so each value's
-    mass is the summed |amplitude|^2 of its columns. The counters are those
-    of qpe_schedule(t). Costs O(D log D); raises ValueError on an off-grid
-    phase, where the law is offgrid_amplitude's kernel instead.
+    System column s carries the phase values[s]/2^t, so its whole column
+    lands on register value values[s] and each value's mass is the summed
+    |amplitude|^2 of its columns. The counters are those of qpe_schedule(t).
+    Costs O(D log D).
     """
     if t <= 0:
         raise ValueError("register needs t >= 1 qubits")
     sys = _system_vector(system_state)
-    if unitary.dim != sys.size:
+    # int64 while 2^t < 2^63; Python ints past that, as 1 << 63 overflows an int64
+    values = np.asarray(values, dtype=None if t < 63 else object)
+    if values.ndim != 1 or not (
+        values.dtype.kind in "iu" or all(isinstance(v, (int, np.integer)) for v in values)
+    ):
+        raise ValueError("register values must be a vector of integers")
+    if np.any(values < 0) or np.any(values >= 1 << t):
+        raise ValueError(f"register value outside [0, 2^{t})")
+    if values.size != sys.size:
         raise ValueError("system dimension mismatch")
-    # scaling by a power of two is exact, so an on-grid phase gives an integer
-    scaled = np.asarray(unitary.phases) * float(1 << t)
-    off = np.flatnonzero(scaled != np.floor(scaled))
-    if off.size:
-        raise ValueError(
-            f"phase {unitary.phases[off[0]]} is not on the {t}-bit grid; use qpe_run"
-        )
-    grid, column_value = np.unique(scaled, return_inverse=True)
+    grid, column_value = np.unique(values, return_inverse=True)
     return QpeOutcomes(
         values=tuple(int(v) for v in grid),
         masses=np.bincount(column_value, weights=np.abs(sys) ** 2, minlength=grid.size),

@@ -27,6 +27,7 @@ from projdetect.centre import (
     structure_constants,
 )
 from projdetect.symgroup import (
+    character,
     class_size,
     conjugate,
     dimension,
@@ -328,12 +329,39 @@ def test_projector_g_orthogonality():
 
 
 def test_centre_state_roundtrip_class_sums():
+    """Every class sum of n <= 7 through both products, refereed entry by entry."""
     state = CentreState.from_class_sums(4, {(2, 1, 1): Fraction(1)})
-    back = state.class_sum_coefficients()
-    assert back[(2, 1, 1)] == 1
-    assert all(v == 0 for mu, v in back.items() if mu != (2, 1, 1))
     for rep, a in state.coeffs.items():
         assert a == normalized_character(rep, 2)
+    for n in range(1, 8):
+        nf = factorial(n)
+        for mu in partitions(n):
+            state = CentreState.from_class_sums(n, {mu: Fraction(1)})
+            expected = {
+                rep: Fraction(class_size(mu) * character(rep, mu), dimension(rep))
+                for rep in partitions(n)
+            }
+            assert state.coeffs == {rep: a for rep, a in expected.items() if a}
+            back = state.class_sum_coefficients()
+            assert back == {
+                nu: sum(a * dimension(rep) * character(rep, nu) for rep, a in expected.items()) / nf
+                for nu in partitions(n)
+            }
+            assert back == {nu: int(nu == mu) for nu in partitions(n)}
+    with pytest.raises(ValueError, match="!= 4"):
+        CentreState.from_class_sums(4, {(2, 1): 1})
+
+
+def test_support_is_the_canonical_order():
+    """support() lists the nonzero labels as the scan of partitions(n) did, whatever the dict order."""
+    n = 8
+    labels = list(partitions(n))
+    weights = {rep: i % 3 for i, rep in enumerate(labels)}
+    shuffled = list(weights.items())
+    np.random.default_rng(8).shuffle(shuffled)
+    state = CentreState(n, dict(shuffled))
+    assert list(state.coeffs) != [rep for rep in labels if weights[rep]]
+    assert state.support() == [rep for rep in labels if state.coeffs.get(rep)]
 
 
 def test_unit_amplitudes_plancherel():

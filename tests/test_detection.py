@@ -9,8 +9,11 @@ from math import log2
 import numpy as np
 import pytest
 
+from projdetect import detection
 from projdetect.centre import (
     CentreState,
+    cycle_class_size,
+    eigenvalue_column,
     k_star,
     normalized_character,
     projector_state,
@@ -22,11 +25,13 @@ from projdetect.detection import (
     complexity_report,
     complexity_table,
     detect_projector,
-    round_unitary,
+    round_values,
     t_bits,
 )
 from projdetect.qpe import (
+    DiagonalUnitary,
     measure_register,
+    phase_encode,
     qpe_outcomes,
     qpe_run,
     qpe_schedule,
@@ -150,19 +155,40 @@ def test_analytic_rounds_match_statevector(n):
     for seed in range(40):
         weights = np.random.default_rng(1000 + seed).integers(1, len(labels) + 1, len(labels))
         state = CentreState(n, {rep: int(w) for rep, w in zip(labels, weights)})
-        amps = state.unit_amplitudes(labels)
+        amps = state.unit_amplitudes()
         rng = np.random.default_rng(seed)
         for k in range(2, k_star(n) + 1):
-            t, unitary = round_unitary(labels, n, k)
+            t, values = round_values(labels, n, k)
+            unitary = DiagonalUnitary(tuple(Fraction(int(v), 1 << t) for v in values))
             dense_rng = copy.deepcopy(rng)
             _, executed, qstate = qpe_run(unitary, amps, t)
             m_dense, post_dense = measure_register(qstate, dense_rng)
-            outcomes = qpe_outcomes(unitary, amps, t)
+            outcomes = qpe_outcomes(values, amps, t)
             m, amps = sample_outcome(outcomes, rng)
             assert m == m_dense
             assert copy.deepcopy(rng).random() == dense_rng.random()
             assert np.max(np.abs(amps - post_dense)) < 1e-12
             assert outcomes.counters == executed
+
+
+def test_round_values_are_phase_encode_numerators():
+    """Referee: each register value is the encoded phase of its eigenvalue times 2^t."""
+    for n in range(2, 15):
+        labels = partitions(n)
+        for k in range(2, k_star(n) + 1):
+            t, values = round_values(labels, n, k)
+            bound = cycle_class_size(n, k)
+            expected = [phase_encode(normalized_character(rep, k), bound, t) * (1 << t) for rep in labels]
+            assert values.tolist() == expected
+
+
+def test_round_values_refuse_an_eigenvalue_past_its_bound(monkeypatch):
+    n, k = 6, 3
+    column = eigenvalue_column(n, k).copy()
+    column[3] = -cycle_class_size(n, k) - 1
+    monkeypatch.setattr(detection, "eigenvalue_column", lambda size, j: column)
+    with pytest.raises(ValueError, match="exceeds"):
+        round_values(partitions(n), n, k)
 
 
 def test_schedule_walk_matches_complexity_report():

@@ -5,7 +5,8 @@ Both the package modules and the test files are checked.  The package's
 No private or UPPER_CASE module-level name in the package may go unread by
 every package module. In the command line, only `run` writes a handler's
 output, and only through `_emit`.  Only `symgroup` names the beta-number
-eigenvalue route, the referee the tests hold the library's columns to.  The
+eigenvalue route, the referee the tests hold the library's columns to, and
+only `qpe` names the float phases that feed the statevector referee.  The
 benchmark's tracer names library functions by module and attribute path;
 those names must keep resolving.
 """
@@ -96,19 +97,38 @@ def test_no_unread_module_names():
     assert unread_module_names(sources) == []
 
 
+def names_in(path: Path) -> set[str]:
+    """Every name a module loads, reads as an attribute, imports or defines."""
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef, ast.ClassDef))
+    }
+
+
 def test_beta_route_is_a_referee():
     """Only symgroup names normalized_character_exact; the library reads eigenvalue columns."""
     package = Path(projdetect.__file__).parent
-    naming = []
-    for path in sorted(package.glob("*.py")):
-        names = {
-            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))
-        }
-        if "normalized_character_exact" in names:
-            naming.append(path.name)
+    naming = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if "normalized_character_exact" in names_in(path)
+    ]
     assert naming == ["symgroup.py"]
+
+
+def test_float_phases_are_the_statevector_input():
+    """The detectors pass integer register values: only qpe (and the exports) name
+    DiagonalUnitary or phase_encode, and centre reads the character matrix, not
+    the per-entry character."""
+    package = Path(projdetect.__file__).parent
+    naming = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if names_in(path) & {"DiagonalUnitary", "phase_encode"}
+    ]
+    assert naming == ["__init__.py", "qpe.py"]
+    assert "character" not in names_in(package / "centre.py")
 
 
 def stray_output_calls(source: str) -> list[str]:

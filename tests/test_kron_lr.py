@@ -24,10 +24,8 @@ from projdetect.kron_lr import (
     lr_detect,
     lr_labels,
     lr_projector_brute,
-    lr_projector_norm_sq,
     lr_projector_state,
     necklace_count,
-    pair_projector_norm_sq,
     pair_projector_state,
     ribbon_count,
 )
@@ -80,12 +78,12 @@ def test_coefficient_tables_are_read_only():
 
 
 def test_norms_refuse_mismatched_sizes():
-    with pytest.raises(ValueError):
-        pair_projector_norm_sq((2, 1), (2,), (2, 1))
-    with pytest.raises(ValueError):
-        pair_projector_norm_sq((2, 1), (2, 1), (4,))
-    with pytest.raises(ValueError):
-        lr_projector_norm_sq((3, 1), (2,), (1,))
+    with pytest.raises(ValueError, match="zero Kronecker"):
+        pair_projector_state((2, 1), (2,), (2, 1))
+    with pytest.raises(ValueError, match="zero Kronecker"):
+        pair_projector_state((2, 1), (2, 1), (4,))
+    with pytest.raises(ValueError, match="zero restriction"):
+        lr_projector_state((3, 1), (2,), (1,))
 
 
 def counted(monkeypatch, name: str) -> list:
@@ -306,10 +304,19 @@ def test_identity_lr_state_total_weight():
 
 
 def test_state_norms_read_the_table_without_revalidating(monkeypatch):
-    """A state's norm_sq equals the public function's and runs no as_partition."""
+    """A state's norm_sq is d1 d2 d3 g / (n!)^2 (or / (m+n)!) and runs no as_partition."""
     states = [identity_pair_state(n) for n in (4, 5)] + [identity_lr_state(m, n) for m, n in ((2, 3), (3, 3))]
-    public = {TripleState: pair_projector_norm_sq, LrState: lr_projector_norm_sq}
-    expected = [[public[type(state)](*label) for label in state.labels] for state in states]
+    coefficient = {TripleState: kronecker, LrState: lr_coefficient}
+    expected = [
+        [
+            Fraction(
+                dimension(a) * dimension(b) * dimension(c) * coefficient[type(state)](a, b, c),
+                factorial(state.n) ** 2 if type(state) is TripleState else factorial(state.m + state.n),
+            )
+            for a, b, c in state.labels
+        ]
+        for state in states
+    ]
 
     def refuse(parts):
         raise AssertionError("a canonical label was validated again")
@@ -318,6 +325,15 @@ def test_state_norms_read_the_table_without_revalidating(monkeypatch):
     for state, norms in zip(states, expected):
         assert [state.norm_sq(label) for label in state.labels] == norms
         assert state.g_norm_sq() == 1
+
+
+def test_support_is_the_table_order():
+    """support() lists the nonzero labels in the order of a scan of the whole table."""
+    states = [identity_pair_state(n) for n in range(1, 7)] + [
+        identity_lr_state(m, total - m) for total in range(1, 9) for m in range(total + 1)
+    ]
+    for state in states:
+        assert state.support() == [label for label in state.labels if state.coeffs.get(label)]
 
 
 def test_transcript_json_shape():

@@ -224,10 +224,11 @@ def grid_rounds(draw):
 @settings(derandomize=True, deadline=None)
 @given(grid_rounds())
 def test_point_masses_match_dense_register(case):
+    """The statevector referee runs the phases values/2^t of the same integers."""
     t, values, amps, seed = case
     unitary = DiagonalUnitary(tuple(Fraction(v, 1 << t) for v in values))
     dist, executed, state = qpe_run(unitary, amps, t)
-    outcomes = qpe_outcomes(unitary, amps, t)
+    outcomes = qpe_outcomes(values, amps, t)
     assert outcomes.values == tuple(sorted(set(values)))
     for value, mass in zip(outcomes.values, outcomes.masses):
         assert abs(dist[value] - mass) < 1e-12
@@ -240,27 +241,44 @@ def test_point_masses_match_dense_register(case):
 
 
 def test_qpe_outcomes_refuses_bad_input():
-    with pytest.raises(ValueError, match="grid"):
-        qpe_outcomes(DiagonalUnitary((1 / 3,)), [1.0], 5)
-    with pytest.raises(ValueError, match="grid"):
-        qpe_outcomes(DiagonalUnitary((Fraction(1, 64),)), [1.0], 5)
-    with pytest.raises(ValueError, match="norm"):
-        qpe_outcomes(DiagonalUnitary((0.0, 0.5)), [0.5, 0.5], 5)
+    with pytest.raises(ValueError, match="integers"):
+        qpe_outcomes([0.5], [1.0], 5)
+    with pytest.raises(ValueError, match="integers"):
+        qpe_outcomes([Fraction(1, 2)], [1.0], 70)
+    with pytest.raises(ValueError, match="outside"):
+        qpe_outcomes([-1], [1.0], 5)
+    with pytest.raises(ValueError, match="outside"):
+        qpe_outcomes([32], [1.0], 5)
+    with pytest.raises(ValueError, match="outside"):
+        qpe_outcomes([1 << 70], [1.0], 70)
     with pytest.raises(ValueError, match="dimension"):
-        qpe_outcomes(DiagonalUnitary((0.0, 0.5)), [1.0], 5)
+        qpe_outcomes([0, 16], [1.0], 5)
+    with pytest.raises(ValueError, match="norm"):
+        qpe_outcomes([0, 16], [0.5, 0.5], 5)
     with pytest.raises(ValueError, match="t >= 1"):
-        qpe_outcomes(DiagonalUnitary((0.0,)), [1.0], 0)
+        qpe_outcomes([0], [1.0], 0)
+
+
+@pytest.mark.parametrize("t", (61, 70))
+def test_qpe_outcomes_reads_long_registers_exactly(t):
+    """2^(t-1) + 1 is read as itself; as a float phase it would round to 2^(t-1)."""
+    value = (1 << (t - 1)) + 1
+    assert float(Fraction(value, 1 << t)) * (1 << t) != value
+    outcomes = qpe_outcomes([value, 1], [0.6, 0.8], t)
+    assert outcomes.values == (1, value)
+    assert all(type(v) is int for v in outcomes.values)
+    assert np.allclose(outcomes.masses, [0.64, 0.36], atol=1e-12)
+    assert sample_outcome(outcomes, np.random.default_rng(0))[0] in (1, value)
 
 
 def test_qpe_outcomes_reaches_past_the_statevector():
     """t = 40 on a 3-column system: the dense register would be 16 TiB."""
     t = 40
     values = ((1 << t) - 1, 12345678901, (1 << t) - 1)
-    unitary = DiagonalUnitary(tuple(Fraction(v, 1 << t) for v in values))
     amps = np.array([0.6, 0.64j, -0.48])
     tracemalloc.start()
     try:
-        outcomes = qpe_outcomes(unitary, amps, t)
+        outcomes = qpe_outcomes(values, amps, t)
         m, post = sample_outcome(outcomes, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
