@@ -40,14 +40,18 @@ from .symgroup import (
     Partition,
     as_partition,
     character,
+    character_matrix,
     class_size,
     dimension,
     format_partition,
+    partition_index,
     partitions,
 )
 
 MEANS_FACTOR = 6
 SAMPLES_NUMERATOR = 9
+# rng.multinomial takes its draw count as an int64
+SAMPLE_COUNT_LIMIT = 2**63
 
 
 def preg_entry(rep: Partition, gamma, mu) -> Fraction:
@@ -86,7 +90,8 @@ class ProjectorColumnOracle:
     every norm read and every sampled index, even though sampling is
     simulated class-wise. Sampling returns the drawn key along with access to
     its value, so a draw is one query and the ratio evaluation needs no
-    second read.
+    second read. The characters are rep's row of character_matrix(n);
+    preg_entry is the per-entry referee.
     """
 
     def __init__(self, rep: Partition):
@@ -94,7 +99,8 @@ class ProjectorColumnOracle:
         self.n = sum(self.rep)
         self.dim = dimension(self.rep)
         self.queries = 0
-        self._chi = {mu: character(self.rep, mu) for mu in partitions(self.n)}
+        row = character_matrix(self.n)[partition_index(self.n)[self.rep]]
+        self._chi = {mu: int(chi) for mu, chi in zip(partitions(self.n), row)}
         nf = factorial(self.n)
         self._norm_sq = Fraction(self.dim**2, nf)
         self._probs = {
@@ -222,13 +228,16 @@ def l2_inner_product(
     epsilon |X||Y| with probability at most 1/9 (Chebyshev) and the median of
     r means fails with probability well under delta. queries is what the
     oracles counted over the call: one per sampled index, one per Y-entry
-    read, one per norm, 2 r s + 2 in total.
+    read, one per norm, 2 r s + 2 in total. An s of 2^63 or more is refused
+    before any query or draw, as the sampler cannot count that many.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     oracles = (x_oracle,) if y_oracle is x_oracle else (x_oracle, y_oracle)
     start = sum(o.queries for o in oracles)
     r, s = sample_budget(epsilon_sq, delta)
+    if s >= SAMPLE_COUNT_LIMIT:
+        raise ValueError(f"{s} samples per mean reach the sampler's limit of 2^63")
     x_norm_sq = x_oracle.norm_sq()
     if x_norm_sq == 0:
         raise ValueError("cannot l2-sample a zero vector")

@@ -5,8 +5,10 @@ denominator. Every operation (convolution, antipode, the g pairing, tensor,
 coproduct, embedding) is performed by definition as an index operation on that
 vector, with no character shortcuts. That makes this module the independent
 referee for the centre and Kronecker layers, at the price of factorial blowup.
-A product gathers |support| x |G| entries, a bounded chunk at a time, so pair
-groups are practical to n <= 5 (|G| = 14400).
+A product runs one symmetric-group factor at a time: a matmul over the other
+factors, then a gather through the first factor's left table, each holding
+n1! x |G| entries for a first factor S_{n1}. So pair groups are practical to
+n <= 5 (|G| = 14400); one-factor products hold n!^2 entries.
 
 Permutations are tuples of images on 0..n-1. Elements of a product group are
 tuples of such tuples; a plain S_n element uses a 1-tuple key so the same
@@ -23,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .symgroup import Partition, as_partition, character, dimension, partitions
+from .symgroup import Partition, as_partition, character_matrix, dimension, partition_index
 
 Perm = tuple[int, ...]
 
@@ -32,11 +34,9 @@ SUBGROUP_ORBIT_BOUND = 6
 
 # int64 arithmetic below this bound on every entry and sum, Python ints from it up
 INT64_BOUND = 2**62
-# product indices gathered at once (256 KiB). A chunk holds a few arrays of
-# this size at a time; at 512 KiB they outgrew glibc's heap trim threshold in
-# a process that had freed no larger block, so every chunk faulted its pages
-# in again (about 110 minor faults per n = 4 pair product, a third of its time)
-PRODUCT_CHUNK = 1 << 15
+# float64 holds every integer below this bound exactly, so a product whose
+# entries and partial sums all stay below it may run on float64 BLAS
+FLOAT64_BOUND = 2**53
 
 
 def identity_perm(n: int) -> Perm:
@@ -114,12 +114,31 @@ def _tables(d: int):
     return table, inv
 
 
-def _mixed_radix(rows: list) -> np.ndarray:
-    """Join per-factor index rows, row by row, into product-group indices."""
-    out = rows[0]
-    for row in rows[1:]:
-        out = (out[:, :, None] * row.shape[1] + row[:, None, :]).reshape(len(out), -1)
+@cache
+def _class_column(n: int) -> np.ndarray:
+    """partition_index(n) of each element's cycle type, over _group_index((n,))."""
+    index = partition_index(n)
+    column = np.array([index[cycle_type(p)] for (p,) in _group_index((n,))[0]])
+    column.flags.writeable = False
+    return column
+
+
+def _mixed_radix(rows: list, count: int) -> np.ndarray:
+    """Join `count` per-factor index rows, row by row, into product-group indices."""
+    out = np.zeros((count, 1), dtype=np.intp)
+    for row in rows:
+        out = (out[:, :, None] * row.shape[1] + row[:, None, :]).reshape(count, -1)
     return out
+
+
+def _left_rows(degrees: tuple[int, ...], indices: np.ndarray) -> np.ndarray:
+    """[i, g] = index of h^-1 g for h = indices[i], in the product group over degrees.
+
+    With no degrees the group is trivial and each row is [0].
+    """
+    tables = [_tables(d) for d in degrees]
+    digits = np.unravel_index(indices, [len(inv) for _, inv in tables]) if tables else ()
+    return _mixed_radix([table[inv[h]] for (table, inv), h in zip(tables, digits)], len(indices))
 
 
 def _peak(num: np.ndarray) -> int:
@@ -210,33 +229,44 @@ class GroupAlgebraElement:
         return _element(self.degrees, num, self.den * s.denominator)
 
     def __mul__(self, other):
-        """Exact convolution (a.b)[g] = sum_h a[h] b[h^-1 g], over a's support.
+        """Exact convolution (a.b)[g] = sum_h a[h] b[h^-1 g], one factor at a time.
 
-        The indices h^-1 g of a chunk of h come from the per-degree left tables
-        and inverse indices in mixed radix: about PRODUCT_CHUNK at once, never
-        |G|^2. The sparse convolution in the tests is this product's referee.
+        G = S_{n1} x R, with R the remaining factors (trivial for one factor),
+        and a, b are read as n1! x |R| matrices A, B. Over the rows h1 and the
+        columns h2 where A is nonzero, stage 1 is one matmul,
+        E[h1, x1, g2] = sum_h2 A[h1, h2] B[x1, h2^-1 g2], with B gathered
+        through R's left table; stage 2 gathers through S_{n1}'s left table,
+        c[g1, g2] = sum_h1 E[h1, h1^-1 g1, g2].
+
+        Every partial sum adds at most |support of a| nonzero products, so
+        |support| peak_a peak_b bounds it; with peak_a and peak_b themselves,
+        that bounds every number the product holds (a zero operand beside
+        entries past float64's range included). Below 2^53 the product runs
+        on float64, where each partial sum is an integer held exactly in
+        whatever order BLAS adds; below INT64_BOUND on int64, and on Python
+        ints above it. The sparse convolution in the tests is this product's
+        referee.
         """
         if not isinstance(other, GroupAlgebraElement):
             return self.__rmul__(other)
         if self.degrees != other.degrees:
             raise ValueError("mismatched groups")
-        support = np.flatnonzero(self.num)
-        bound = len(support) * _peak(self.num) * _peak(other.num)
-        a, b = _widen(self.num, bound), _widen(other.num, bound)
-        acc = np.zeros(len(b), dtype=np.result_type(a, b))
-        tables = [_tables(d) for d in self.degrees]
-        sizes = [len(inv) for _, inv in tables]
-        step = max(1, PRODUCT_CHUNK // len(b))
-        for start in range(0, len(support), step):
-            chunk = support[start : start + step]
-            digits = np.unravel_index(chunk, sizes)
-            rows = _mixed_radix([table[inv[h]] for (table, inv), h in zip(tables, digits)])
-            acc += a[chunk] @ b[rows]
-        return _element(self.degrees, acc, self.den * other.den)
+        peak_a, peak_b = _peak(self.num), _peak(other.num)
+        bound = max(self.support_size() * peak_a * peak_b, peak_a, peak_b)
+        dtype = np.float64 if bound < FLOAT64_BOUND else np.int64 if bound < INT64_BOUND else object
+        table, inv = _tables(self.degrees[0])
+        a = self.num.astype(dtype).reshape(len(inv), -1)
+        b = other.num.astype(dtype).reshape(len(inv), -1)
+        rows, cols = np.flatnonzero(a.any(1)), np.flatnonzero(a.any(0))
+        gathered = b[:, _left_rows(self.degrees[1:], cols)].transpose(1, 0, 2)
+        e = (a[np.ix_(rows, cols)] @ gathered.reshape(len(cols), b.size)).reshape(-1, *b.shape)
+        c = e[np.arange(len(rows))[:, None], table[inv[rows]]].sum(0).ravel()
+        num = c.astype(np.int64) if dtype is np.float64 else c
+        return _element(self.degrees, num, self.den * other.den)
 
     def antipode(self) -> "GroupAlgebraElement":
         """Linear extension of g -> g^{-1}: the vector read through the inverse index."""
-        inverse_index = _mixed_radix([_tables(d)[1][None] for d in self.degrees])[0]
+        inverse_index = _mixed_radix([_tables(d)[1][None] for d in self.degrees], 1)[0]
         return _element(self.degrees, self.num[inverse_index], self.den)
 
     def identity_coefficient(self) -> Fraction:
@@ -334,12 +364,15 @@ def cycle_class_sum(n: int, k: int) -> GroupAlgebraElement:
 
 
 def projector_element(rep: Partition) -> GroupAlgebraElement:
-    """P_R = (d_R/n!) sum_sigma chi^R(type sigma) sigma, exact."""
+    """P_R = (d_R/n!) sum_sigma chi^R(type sigma) sigma, exact.
+
+    One gather: d_R times rep's row of character_matrix(n), read through each
+    element's class.
+    """
     rep = as_partition(rep)
     n = sum(rep)
-    chi = {mu: character(rep, mu) for mu in partitions(n)}
-    num = np.array([dimension(rep) * chi[cycle_type(p)] for (p,) in _group_index((n,))[0]])
-    return _element((n,), num, factorial(n))
+    chi = character_matrix(n)[partition_index(n)[rep]]
+    return _element((n,), (dimension(rep) * chi)[_class_column(n)], factorial(n))
 
 
 def tensor(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:

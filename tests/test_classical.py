@@ -27,7 +27,7 @@ from projdetect.classical import (
     tk_row_entry,
 )
 from projdetect.groupalgebra import identity_perm
-from projdetect.symgroup import dimension, partitions
+from projdetect.symgroup import character, class_size, dimension, partitions
 
 
 def test_preg_entry_is_regular_representation():
@@ -75,6 +75,19 @@ def test_oracle_norms_and_counters():
     assert y.norm_sq() == 15
     probs = x.class_probabilities()
     assert sum(probs.values()) == 1
+
+
+def test_oracle_entries_are_the_per_entry_characters():
+    """The oracle reads a character-matrix row; character() is the per-entry referee."""
+    for n in range(1, 9):
+        nf = factorial(n)
+        for rep in partitions(n):
+            x = ProjectorColumnOracle(rep)
+            probs = x.class_probabilities()
+            for mu in partitions(n):
+                chi = character(rep, mu)
+                assert x.entry_by_key(mu) == Fraction(dimension(rep) * chi, nf)
+                assert probs[mu] == Fraction(class_size(mu) * chi**2, nf)
 
 
 def test_sample_budget_contract():
@@ -188,6 +201,27 @@ def test_classical_detect_transcript_shape():
     assert data["true_label"] == "3,3"
     assert data["k_star"] == 3
     assert len(data["per_k"]) == 2
+
+
+def test_sample_counts_past_int64_are_refused():
+    """s >= 2^63 is refused before any draw: (17,) passes k = 2, then k = 3 needs
+    36 17! |T_3| samples per mean; n = 16 keeps its transcripts."""
+    x, y = ProjectorColumnOracle((17,)), CycleClassRowOracle(17, 3)
+    with pytest.raises(ValueError, match=r"^17414456479580160000 samples .* 2\^63"):
+        l2_inner_product(x, y, resolving_epsilon_sq((17,), 3))
+    assert x.queries == y.queries == 0
+    with pytest.raises(ValueError, match="2\\^63"):
+        classical_detect((17,))
+    one_row = classical_detect((16,)).to_dict()
+    assert [row["queries"] for row in one_row["per_k"]] == [
+        3253912283381760002,
+        30369847978229760002,
+        296106017787740160002,
+    ]
+    assert one_row["signature"] == [120, 1120, 10920] and one_row["detected"] == "16"
+    square = classical_detect((4, 4, 4, 4), seed=3).to_dict()
+    assert [row["queries"] for row in square["per_k"]] == [5637871910, 52620137642, 513046341830]
+    assert square["signature"] == [0, -80, 0] and square["detected"] == "4,4,4,4"
 
 
 def test_deterministic_queries_bound():

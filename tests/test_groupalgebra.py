@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 from itertools import permutations as iter_permutations
 from itertools import product
 
@@ -28,7 +29,7 @@ from projdetect.groupalgebra import (
 )
 from projdetect.centre import cycle_class_size, normalized_character
 from projdetect.kron_lr import dim_A, kron_labels, kron_projector_brute, ribbon_count
-from projdetect.symgroup import centralizer_order, class_size, partitions
+from projdetect.symgroup import centralizer_order, character, class_size, dimension, partitions
 
 
 def test_compose_and_inverse():
@@ -68,6 +69,13 @@ def graded(degrees, start: int) -> GroupAlgebraElement:
 
 def test_dense_and_sparse_products_agree():
     """The scaled-integer dense product must reproduce the sparse convolution."""
+    # |support| peak_a peak_b at 2^53 - 1 = 441650591 * 20394401 (float64) and
+    # at 2^53 = 2 * 2^26 * 2^26 (int64); every entry of both products reaches it
+    below = (441650591 * GroupAlgebraElement(3, {(1, 2, 0): 1}), 20394401 * class_sum(3, (3,)))
+    at = (
+        2**26 * (identity_element(3) + GroupAlgebraElement(3, {(1, 0, 2): 1})),
+        2**26 * sum((class_sum(3, mu) for mu in partitions(3)), GroupAlgebraElement(3)),
+    )
     big = 2**40
     pair_33 = [kron_projector_brute((2, 1), (2, 1), rep) for rep in partitions(3)]
     cases = [
@@ -85,10 +93,22 @@ def test_dense_and_sparse_products_agree():
         (pair_33[0] + pair_33[2], pair_33[2]),
         (GroupAlgebraElement(4), cycle_class_sum(4, 2)),
         (cycle_class_sum(4, 2), GroupAlgebraElement(4)),
+        # a zero operand beside entries past float64's range
+        (GroupAlgebraElement(3), 2**1100 * cycle_class_sum(3, 2)),
+        (2**1100 * cycle_class_sum(3, 2), GroupAlgebraElement(3)),
+        (graded((2, 2, 2), 1), graded((2, 2, 2), -4)),
+        (graded((2, 3, 2), 3), graded((2, 3, 2), 1)),
+        (graded((1, 3), 1), graded((1, 3), 2)),
+        (graded((3, 1, 2), -2), graded((3, 1, 2), 5)),
+        (graded((1,), 4), graded((1,), 3)),
+        below,
+        at,
         (big * cycle_class_sum(4, 2), big * projector_element((3, 1))),
     ]
     for a, b in cases:
         assert (a * b).data == sparse_product(a, b)
+    assert set((below[0] * below[1]).data.values()) == {2**53 - 1}
+    assert set((at[0] * at[1]).data.values()) == {2**53}
     wide_a, wide_b = cases[-1]
     # This case overflows int64 unless the product falls back to object.
     assert max(abs(v) for v in (wide_a * wide_b).data.values()) > 2**63
@@ -159,6 +179,17 @@ def test_projector_idempotent_and_central():
             p = projector_element(rep)
             total = p if total is None else total + p
         assert total == identity_element(n)
+
+
+def test_projector_element_is_the_character_column():
+    """P_R[sigma] = d_R chi^R(type sigma) / n!, one character() call per element."""
+    for n in range(1, 6):
+        for rep in partitions(n):
+            expected = {
+                p: Fraction(dimension(rep) * character(rep, cycle_type(p)), factorial(n))
+                for p in iter_permutations(range(n))
+            }
+            assert projector_element(rep) == GroupAlgebraElement(n, expected)
 
 
 def test_projectors_annihilate_each_other():

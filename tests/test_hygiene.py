@@ -5,8 +5,9 @@ Both the package modules and the test files are checked.  The package's
 No private or UPPER_CASE module-level name in the package may go unread by
 every package module. In the command line, only `run` writes a handler's
 output, and only through `_emit`.  Only `symgroup` names the beta-number
-eigenvalue route, the referee the tests hold the library's columns to, and
-only `qpe` names the float phases that feed the statevector referee.  The
+eigenvalue route, the referee the tests hold the library's columns to,
+only `qpe` names the float phases that feed the statevector referee, and
+`groupalgebra` names neither the per-entry character nor a product chunk.  The
 benchmark's tracer names library functions by module and attribute path;
 those names must keep resolving.
 """
@@ -129,6 +130,13 @@ def test_float_phases_are_the_statevector_input():
     ]
     assert naming == ["__init__.py", "qpe.py"]
     assert "character" not in names_in(package / "centre.py")
+
+
+def test_group_algebra_has_one_product_route():
+    """groupalgebra reads character-matrix rows, not the per-entry character, and
+    its product has no chunk loop: it names neither character nor PRODUCT_CHUNK."""
+    names = names_in(Path(projdetect.__file__).with_name("groupalgebra.py"))
+    assert not names & {"character", "PRODUCT_CHUNK"}
 
 
 def stray_output_calls(source: str) -> list[str]:
