@@ -40,11 +40,9 @@ from .symgroup import (
     Partition,
     as_partition,
     character,
-    character_matrix,
     class_size,
     dimension,
     format_partition,
-    partition_index,
     partitions,
 )
 
@@ -90,8 +88,7 @@ class ProjectorColumnOracle:
     every norm read and every sampled index, even though sampling is
     simulated class-wise. Sampling returns the drawn key along with access to
     its value, so a draw is one query and the ratio evaluation needs no
-    second read. The characters are rep's row of character_matrix(n);
-    preg_entry is the per-entry referee.
+    second read.
     """
 
     def __init__(self, rep: Partition):
@@ -99,8 +96,7 @@ class ProjectorColumnOracle:
         self.n = sum(self.rep)
         self.dim = dimension(self.rep)
         self.queries = 0
-        row = character_matrix(self.n)[partition_index(self.n)[self.rep]]
-        self._chi = {mu: int(chi) for mu, chi in zip(partitions(self.n), row)}
+        self._chi = {mu: character(self.rep, mu) for mu in partitions(self.n)}
         nf = factorial(self.n)
         self._norm_sq = Fraction(self.dim**2, nf)
         self._probs = {

@@ -5,10 +5,13 @@ denominator. Every operation (convolution, antipode, the g pairing, tensor,
 coproduct, embedding) is performed by definition as an index operation on that
 vector, with no character shortcuts. That makes this module the independent
 referee for the centre and Kronecker layers, at the price of factorial blowup.
-A product runs one symmetric-group factor at a time: a matmul over the other
-factors, then a gather through the first factor's left table, each holding
-n1! x |G| entries for a first factor S_{n1}. So pair groups are practical to
-n <= 5 (|G| = 14400); one-factor products hold n!^2 entries.
+A product runs one symmetric-group factor at a time: a gather through the
+first factor's left table and one matmul, then a gather through the other
+factors' left tables. With a first factor S_{n1} it holds at most two arrays
+of n1! x |G| numbers, so pair groups are practical to n <= 5 (|G| = 14400). A
+one-factor S_n product holds two |support of the left operand| x n! arrays, up
+to twice S_n's cached n! x n! left table: 8 MB at n = 6, 400 MB at n = 7. The
+library's own one-factor products stop at n = 5 (kron_lr.BRUTE_BUILD_BOUND).
 
 Permutations are tuples of images on 0..n-1. Elements of a product group are
 tuples of such tuples; a plain S_n element uses a 1-tuple key so the same
@@ -127,7 +130,8 @@ def _mixed_radix(rows: list, count: int) -> np.ndarray:
     """Join `count` per-factor index rows, row by row, into product-group indices."""
     out = np.zeros((count, 1), dtype=np.intp)
     for row in rows:
-        out = (out[:, :, None] * row.shape[1] + row[:, None, :]).reshape(count, -1)
+        width = out.shape[1] * row.shape[1]
+        out = (out[:, :, None] * row.shape[1] + row[:, None, :]).reshape(count, width)
     return out
 
 
@@ -233,10 +237,12 @@ class GroupAlgebraElement:
 
         G = S_{n1} x R, with R the remaining factors (trivial for one factor),
         and a, b are read as n1! x |R| matrices A, B. Over the rows h1 and the
-        columns h2 where A is nonzero, stage 1 is one matmul,
-        E[h1, x1, g2] = sum_h2 A[h1, h2] B[x1, h2^-1 g2], with B gathered
-        through R's left table; stage 2 gathers through S_{n1}'s left table,
-        c[g1, g2] = sum_h1 E[h1, h1^-1 g1, g2].
+        columns h2 where A is nonzero, stage 1 gathers B through S_{n1}'s left
+        table and is one matmul, E[h2, g1, y2] = sum_h1 A[h1, h2] B[h1^-1 g1, y2];
+        stage 2 gathers through R's left table, c[g1, g2] = sum_h2 E[h2, g1, h2^-1 g2].
+        E is held as [h2, y2, g1], so stage 2 gathers whole rows. With one
+        factor, stage 1 is a gather and a vector-matrix product and stage 2
+        copies its one row.
 
         Every partial sum adds at most |support of a| nonzero products, so
         |support| peak_a peak_b bounds it; with peak_a and peak_b themselves,
@@ -258,9 +264,9 @@ class GroupAlgebraElement:
         a = self.num.astype(dtype).reshape(len(inv), -1)
         b = other.num.astype(dtype).reshape(len(inv), -1)
         rows, cols = np.flatnonzero(a.any(1)), np.flatnonzero(a.any(0))
-        gathered = b[:, _left_rows(self.degrees[1:], cols)].transpose(1, 0, 2)
-        e = (a[np.ix_(rows, cols)] @ gathered.reshape(len(cols), b.size)).reshape(-1, *b.shape)
-        c = e[np.arange(len(rows))[:, None], table[inv[rows]]].sum(0).ravel()
+        shifted = b.take(table[inv[rows]], 0).transpose(0, 2, 1).reshape(len(rows), b.size)
+        e = (a[np.ix_(rows, cols)].T @ shifted).reshape(len(cols), *b.shape[::-1])
+        c = e[np.arange(len(cols))[:, None], _left_rows(self.degrees[1:], cols)].sum(0).T.ravel()
         num = c.astype(np.int64) if dtype is np.float64 else c
         return _element(self.degrees, num, self.den * other.den)
 

@@ -27,7 +27,7 @@ from projdetect.classical import (
     tk_row_entry,
 )
 from projdetect.groupalgebra import identity_perm
-from projdetect.symgroup import character, class_size, dimension, partitions
+from projdetect.symgroup import dimension, partitions
 
 
 def test_preg_entry_is_regular_representation():
@@ -75,19 +75,6 @@ def test_oracle_norms_and_counters():
     assert y.norm_sq() == 15
     probs = x.class_probabilities()
     assert sum(probs.values()) == 1
-
-
-def test_oracle_entries_are_the_per_entry_characters():
-    """The oracle reads a character-matrix row; character() is the per-entry referee."""
-    for n in range(1, 9):
-        nf = factorial(n)
-        for rep in partitions(n):
-            x = ProjectorColumnOracle(rep)
-            probs = x.class_probabilities()
-            for mu in partitions(n):
-                chi = character(rep, mu)
-                assert x.entry_by_key(mu) == Fraction(dimension(rep) * chi, nf)
-                assert probs[mu] == Fraction(class_size(mu) * chi**2, nf)
 
 
 def test_sample_budget_contract():

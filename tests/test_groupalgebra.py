@@ -96,6 +96,9 @@ def test_dense_and_sparse_products_agree():
         # a zero operand beside entries past float64's range
         (GroupAlgebraElement(3), 2**1100 * cycle_class_sum(3, 2)),
         (2**1100 * cycle_class_sum(3, 2), GroupAlgebraElement(3)),
+        (GroupAlgebraElement((2, 2)), graded((2, 2), 1)),
+        (graded((2, 2), 1), GroupAlgebraElement((2, 2))),
+        (GroupAlgebraElement((2, 3, 2)), graded((2, 3, 2), 3)),
         (graded((2, 2, 2), 1), graded((2, 2, 2), -4)),
         (graded((2, 3, 2), 3), graded((2, 3, 2), 1)),
         (graded((1, 3), 1), graded((1, 3), 2)),
@@ -138,6 +141,22 @@ def test_pair_product_reaches_n5():
     assert square == p
     assert cross.support_size() == 0
     assert peak < 64 << 20
+
+
+def test_one_factor_product_holds_two_support_by_group_arrays():
+    """An S_6 product with a full-support left operand holds two 720 x 720
+    arrays (the gather's indices and values), and nothing of |G|^2 beyond them."""
+    p = projector_element((6,))
+    assert p.support_size() == 720
+    p * p  # builds S_6's cached left table outside the measurement
+    tracemalloc.start()
+    try:
+        square = p * p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square == p
+    assert peak < 2 * 720 * 720 * 8 + (256 << 10)
 
 
 def test_keys_checked_at_entry_points():
