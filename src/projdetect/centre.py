@@ -357,6 +357,19 @@ class LabelledState:
             if val != 0:
                 self.coeffs[label] = val
 
+    @classmethod
+    def _canonical(cls, sizes: tuple[int, ...], coeffs: dict) -> "LabelledState":
+        """A state whose labels are already canonical keys of its label map.
+
+        The library's own builders pass coefficients keyed by labels read
+        from the label map, so nothing is validated again; zeros are still
+        dropped. A caller's labels go through the constructor, which checks
+        each one.
+        """
+        state = cls(*sizes, {})
+        state.coeffs = {label: val for label, val in coeffs.items() if val != 0}
+        return state
+
     def amplitude_scale(self, label) -> float:
         """The l2 weight of a label's amplitude: sqrt(norm_sq)."""
         return float(self.norm_sq(label)) ** 0.5
@@ -381,7 +394,7 @@ class LabelledState:
         norm = abs(self.g_norm_sq()) ** 0.5
         if norm == 0:
             raise ValueError("cannot normalize the zero state")
-        return type(self)(*self.sizes, {r: v / norm for r, v in self.coeffs.items()})
+        return self._canonical(self.sizes, {r: v / norm for r, v in self.coeffs.items()})
 
     def support(self) -> list:
         """The labels with a nonzero coefficient, in canonical (descending) order."""
@@ -439,7 +452,8 @@ class CentreState(LabelledState):
                 raise ValueError(f"|{mu}| != {n}")
             weighted[index[mu]] = c * class_size(mu)
         sums = character_matrix(n).astype(object) @ weighted
-        return cls(n, {rep: _over(acc, dimension(rep)) for rep, acc in zip(index, sums)})
+        coeffs = {rep: _over(acc, dimension(rep)) for rep, acc in zip(index, sums)}
+        return cls._canonical((n,), coeffs)
 
     def class_sum_coefficients(self) -> dict[Partition, object]:
         """Coefficients over the class-sum basis: c_mu = sum_R a_R d_R chi^R(mu)/n!."""

@@ -14,10 +14,17 @@ PROJDETECT_SEED, a table past TABLE_CAPS, a size or trial count past SIZE_CAPS,
 a holo --lambda past LAMBDA_CAP and a holo roundtrip --capital-n past
 CAPITAL_N_CAP are usage errors. Each handler returns (exit code, output text
 or None), and run() alone writes that text.
+
+The parser is built on the first run() and shared by every later call in the
+process (build_parser is cached), so building it is paid once, not per call.
+Handlers and preflights must not mutate it or its subparsers; they read the
+caps and PROJDETECT_SEED when they are called, and argparse reads COLUMNS
+only when it prints.
 """
 
 from __future__ import annotations
 
+from functools import cache
 import argparse
 import json
 import math
@@ -216,7 +223,9 @@ def _finish_leaf(p: argparse.ArgumentParser, handler, csv_too: bool = True) -> N
     p.set_defaults(handler=handler, parser=p)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The projdetect parser, built on the first call and shared after it; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="projdetect",
         description="projector detection toolkit: tables, detection, reports",

@@ -104,12 +104,6 @@ def dim_K(n: int) -> int:
     return sum(v * v for v in kron_labels(n).values())
 
 
-def _norm_sq(label, table, denominator: int) -> Fraction:
-    """Product of a canonical triple's dimensions times its table entry, over denominator."""
-    r1, r2, r3 = label
-    return Fraction(dimension(r1) * dimension(r2) * dimension(r3) * table.get(label, 0), denominator)
-
-
 def kron_projector_brute(r1: Partition, r2: Partition, r3: Partition):
     """ptilde built literally in C[S_n x S_n]; referee for the closed forms."""
     from .groupalgebra import diagonal_map, projector_element, tensor
@@ -127,18 +121,36 @@ def _as_triple(label) -> tuple[Partition, Partition, Partition]:
     return tuple(as_partition(p) for p in label)
 
 
-class TripleState(LabelledState):
+class _TripleTableState(LabelledState):
+    """A state over triples whose idempotents have squared g-norm d1 d2 d3 g / denominator.
+
+    g is the triple's entry in the label map; a subclass sets denominator.
+    """
+
+    as_label = staticmethod(_as_triple)
+
+    def _weight(self, label) -> int:
+        r1, r2, r3 = label
+        return dimension(r1) * dimension(r2) * dimension(r3) * self.labels.get(label, 0)
+
+    def norm_sq(self, label) -> Fraction:
+        return Fraction(self._weight(label), self.denominator)
+
+    def amplitude_scale(self, label) -> float:
+        # int true division rounds the same rational that float(norm_sq) rounds,
+        # and both round correctly, so the two agree bit for bit
+        return (self._weight(label) / self.denominator) ** 0.5
+
+
+class TripleState(_TripleTableState):
     """Element of the tensor-square algebra over the ptilde basis."""
 
     label_error = "{label} has zero Kronecker coefficient; no projector to carry it"
-    as_label = staticmethod(_as_triple)
 
     def __init__(self, n: int, coeffs: dict):
         self.n = n
+        self.denominator = factorial(n) ** 2
         super().__init__((n,), kron_labels(n), coeffs)
-
-    def norm_sq(self, label) -> Fraction:
-        return _norm_sq(label, self.labels, factorial(self.n) ** 2)
 
 
 def pair_projector_state(r1, r2, r3) -> TripleState:
@@ -152,7 +164,7 @@ def identity_pair_state(n: int) -> TripleState:
     Detection on this state therefore samples the triple (R1, R2, R3) with
     probability d1 d2 d3 C / (n!)^2, and those weights sum to exactly 1.
     """
-    return TripleState(n, {label: Fraction(1) for label in kron_labels(n)})
+    return TripleState._canonical((n,), dict.fromkeys(kron_labels(n), Fraction(1)))
 
 
 @dataclass
@@ -359,20 +371,17 @@ def lr_projector_brute(rep, r1, r2):
     )
 
 
-class LrState(LabelledState):
+class LrState(_TripleTableState):
     """Element of the restriction algebra over its idempotent basis."""
 
     label_error = "{label} has zero restriction coefficient"
     size_error = "mismatched sizes"
-    as_label = staticmethod(_as_triple)
 
     def __init__(self, m: int, n: int, coeffs: dict):
         self.m = m
         self.n = n
+        self.denominator = factorial(m + n)
         super().__init__((m, n), lr_labels(m, n), coeffs)
-
-    def norm_sq(self, label) -> Fraction:
-        return _norm_sq(label, self.labels, factorial(self.m + self.n))
 
 
 def lr_projector_state(rep, r1, r2) -> LrState:
@@ -382,7 +391,7 @@ def lr_projector_state(rep, r1, r2) -> LrState:
 
 def identity_lr_state(m: int, n: int) -> LrState:
     """The identity of C[S_{m+n}] over the restriction idempotents, all ones."""
-    return LrState(m, n, {label: Fraction(1) for label in lr_labels(m, n)})
+    return LrState._canonical((m, n), dict.fromkeys(lr_labels(m, n), Fraction(1)))
 
 
 def lr_detect(state: LrState, seed: int = 0) -> MultiFamilyTranscript:

@@ -14,7 +14,7 @@ inverse QFT's controlled-R_k gates and Hadamards.
   m/2^t on the t-bit grid, so each column lands on its value with
   probability 1 and the register law is a sum of point masses; no 2^t array
   and no float phase is built. Its counters come from walking the same
-  schedule.
+  schedule, once per register size.
 
 DiagonalUnitary, phase_encode and float phases are the statevector route's
 input. The closed forms offgrid_amplitude and phase_tail_bound are kept only
@@ -24,8 +24,9 @@ as the tests' referees for off-grid input.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -170,6 +171,12 @@ def schedule_counters(ops) -> GateCounters:
     return GateCounters(hadamards=kinds["h"], controlled_rk=kinds["rk"], cu_queries=kinds["cu"])
 
 
+@cache
+def _round_counters(t: int) -> GateCounters:
+    """schedule_counters(qpe_schedule(t)), walked once per t; callers copy it."""
+    return schedule_counters(qpe_schedule(t))
+
+
 def _execute(state: QpeState, ops) -> QpeState:
     for op in ops:
         if op[0] == "h":
@@ -258,8 +265,8 @@ def qpe_outcomes(values, system_state, t: int) -> QpeOutcomes:
 
     System column s carries the phase values[s]/2^t, so its whole column
     lands on register value values[s] and each value's mass is the summed
-    |amplitude|^2 of its columns. The counters are those of qpe_schedule(t).
-    Costs O(D log D).
+    |amplitude|^2 of its columns. The counters are those of qpe_schedule(t),
+    a fresh GateCounters per call. Costs O(D log D).
     """
     if t <= 0:
         raise ValueError("register needs t >= 1 qubits")
@@ -280,7 +287,7 @@ def qpe_outcomes(values, system_state, t: int) -> QpeOutcomes:
         masses=np.bincount(column_value, weights=np.abs(sys) ** 2, minlength=grid.size),
         column_value=column_value,
         system=sys,
-        counters=schedule_counters(qpe_schedule(t)),
+        counters=replace(_round_counters(t)),
     )
 
 

@@ -26,13 +26,17 @@ Partition = tuple[int, ...]
 def as_partition(parts) -> Partition:
     """Validate and canonicalize a partition given as any iterable of ints.
 
-    Parts must be positive and weakly decreasing. Zero parts are rejected
+    Parts must be integers (a part equal to its int(), so 2.0 passes and 2.5
+    or "2" does not), positive and weakly decreasing. Zero parts are rejected
     rather than stripped so malformed input surfaces early.
     """
-    p = tuple(int(x) for x in parts)
-    if any(x <= 0 for x in p):
+    given = tuple(parts)
+    p = tuple(map(int, given))
+    if p != given:
+        raise ValueError(f"partition parts must be integers: {given}")
+    if p and min(p) <= 0:
         raise ValueError(f"partition parts must be positive: {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if list(p) != sorted(p, reverse=True):
         raise ValueError(f"partition parts must be weakly decreasing: {p}")
     return p
 
@@ -42,14 +46,14 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return ()
-    tokens = text.split(",")
-    for tok in tokens:
+    parts = []
+    for tok in text.split(","):
         try:
-            int(tok)
+            parts.append(int(tok))
         except ValueError:
             raise ValueError(f"not a partition: bad token {tok.strip()!r} in {text!r}") from None
     try:
-        return as_partition(tokens)
+        return as_partition(parts)
     except ValueError:
         raise ValueError(f"not a partition: {text!r}") from None
 

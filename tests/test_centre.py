@@ -342,6 +342,10 @@ def test_centre_state_roundtrip_class_sums():
                 for rep in partitions(n)
             }
             assert state.coeffs == {rep: a for rep, a in expected.items() if a}
+            assert list(state.coeffs) == list(CentreState(n, state.coeffs).coeffs)
+            norm = abs(state.g_norm_sq()) ** 0.5
+            checked = CentreState(n, {rep: a / norm for rep, a in state.coeffs.items()})
+            assert state.normalized().coeffs == checked.coeffs
             back = state.class_sum_coefficients()
             assert back == {
                 nu: sum(a * dimension(rep) * character(rep, nu) for rep, a in expected.items()) / nf

@@ -1,5 +1,6 @@
 """Command-line contract: formats, determinism, exit codes, seeds."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,12 +24,17 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def spawn_cli(argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run `python -m projdetect.cli argv` in a child that imports this package's source."""
+def spawn_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python args` in a child that imports this package's source."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "projdetect.cli", *argv], env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def spawn_cli(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m projdetect.cli argv` in a child that imports this package's source."""
+    return spawn_python(["-m", "projdetect.cli", *argv], **kwargs)
 
 
 def test_chars_n0_single_empty_row(capsys):
@@ -379,6 +385,57 @@ def test_report_runs(capsys):
     assert [row["n"] for row in data["classical"]] == [6, 7, 8]
 
 
+# (argv, exit code): help, usage errors, a cap refusal, a detection failure,
+# and successful runs, each run twice in one process
+REPEATED_ARGV = [
+    (["--help"], 0),
+    (["detect", "zcsn", "--help"], 0),
+    (["bogus"], 2),
+    (["chars", "--n", "40"], 2),
+    (["detect", "zcsn", "--n", "5", "--r", "3,3"], 2),
+    (["detect", "kron", "--n", "3", "--triple", "3;3;2,1"], 1),
+    (["detect", "zcsn", "--n", "6", "--r", "3,3", "--seed", "7", "--json"], 0),
+    (["report", "--n-max", "6"], 0),
+]
+
+
+def test_parser_is_built_once_with_unchanged_bytes(capsys, monkeypatch):
+    """run() reuses one parser: a second pass over the same argv adds no
+    argument and gives the same exit codes, stdout and stderr."""
+    first = [invoke(capsys, *argv) for argv, _ in REPEATED_ARGV]
+    assert [code for code, _, _ in first] == [code for _, code in REPEATED_ARGV]
+    added = []
+    original = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "add_argument",
+        lambda self, *a, **k: added.append(a) or original(self, *a, **k),
+    )
+    assert [invoke(capsys, *argv) for argv, _ in REPEATED_ARGV] == first
+    assert added == []
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI module builds no parser; the first build_parser() does,
+    and a second call builds nothing more."""
+    probe = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import projdetect.cli\n"
+        "counts = [len(made)]\n"
+        "for _ in range(2):\n"
+        "    projdetect.cli.build_parser()\n"
+        "    counts.append(len(made))\n"
+        "print(*counts)\n"
+    )
+    proc = spawn_python(["-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0 < first == second
+
+
 def test_console_script_entry():
     proc = spawn_cli(
         ["kstar", "--n-max", "4", "--json"],
@@ -455,3 +512,52 @@ def test_fuzzed_flag_values_exit_cleanly(case, value):
     with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(quiet):
         with contextlib.redirect_stderr(quiet):
             assert run(argv) in (0, 1, 2)
+
+
+# Whole argv: a subcommand path (some of them incomplete or unknown), then
+# flags of any command, each bare, with its value or joined to it by "=".
+# Sizes stay small so that every accepted run takes a moment; random text
+# holds no digit, so it never parses as a larger size, and no "-", so it
+# never names a flag such as --out.
+FUZZED_COMMANDS = [
+    "chars", "kstar", "detect zcsn", "detect kron", "detect lr", "detect classical",
+    "kron", "lr", "holo roundtrip", "holo cutoff-table", "holo cost", "report",
+    "detect", "holo", "bogus", "",
+]
+FUZZED_FLAG_NAMES = [
+    "--n", "--m", "--r", "--triple", "--seed", "--n-max", "--signatures-for", "--json",
+    "--csv", "--table", "--delta", "--trials", "--lambda", "--beta", "--rho", "--capital-n",
+    "--help", "--bogus",
+]
+SMALL_VALUES = st.one_of(
+    st.integers(min_value=-2, max_value=5).map(str),
+    st.sampled_from(["3,2", "2,1", "2,2", "1", "", "2;1;1", "2,1;2,1;3", "3;2;1", "0.5", "-0", "1e400", "nan"]),
+    st.text(
+        st.characters(codec="utf-8", exclude_categories=["Nd"], exclude_characters="\x00-"),
+        max_size=4,
+    ),
+)
+FUZZED_FLAGS = st.tuples(
+    st.sampled_from(FUZZED_FLAG_NAMES), SMALL_VALUES, st.sampled_from(["bare", "pair", "joined"])
+).map(
+    lambda f: {"bare": [f[0]], "pair": [f[0], f[1]], "joined": [f"{f[0]}={f[1]}"]}[f[2]]
+)
+FUZZED_ARGV = st.tuples(st.sampled_from(FUZZED_COMMANDS), st.lists(FUZZED_FLAGS, max_size=6)).map(
+    lambda c: c[0].split() + [token for flag in c[1] for token in flag]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FUZZED_ARGV)
+@example(["detect", "zcsn", "--n", "5", "--r", "3,2", "--seed", "1", "--json"])
+@example(["detect", "lr", "--m", "2", "--n", "1", "--triple", "2,1;2;1", "--n=4"])
+@example(["holo", "roundtrip", "--n", "3", "--capital-n", "4", "--r", "2,1", "--csv"])
+@example(["kstar", "--n-max", "5", "--signatures-for", "5", "--json"])
+def test_fuzzed_argv_exits_cleanly(argv):
+    """Whole argv drawn in one process, through the one shared parser: every
+    run ends in exit 0, 1 or 2, with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from projdetect import kron_lr, symgroup
@@ -245,10 +246,17 @@ def test_lr_brute_element_norm():
 
 
 def test_triple_state_rejects_zero_coefficient_label():
+    """The public constructors check a caller's labels: coefficient and diagrams."""
     with pytest.raises(ValueError, match="zero Kronecker"):
         TripleState(3, {((3,), (3,), (2, 1)): 1})
     with pytest.raises(ValueError, match="zero restriction"):
         LrState(2, 1, {((1, 1, 1), (2,), (1,)): 1})
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        TripleState(3, {((1, 2), (3,), (1, 2)): 1})
+    with pytest.raises(ValueError, match="positive"):
+        LrState(2, 1, {((3, 0), (2,), (1,)): 1})
+    with pytest.raises(ValueError, match="integers"):
+        TripleState(3, {((2.5, 0.5), (2, 1), (2, 1)): 1})
 
 
 def test_kron_detect_roundtrip():
@@ -325,6 +333,48 @@ def test_state_norms_read_the_table_without_revalidating(monkeypatch):
     for state, norms in zip(states, expected):
         assert [state.norm_sq(label) for label in state.labels] == norms
         assert state.g_norm_sq() == 1
+
+
+def is_canonical_triple(label) -> bool:
+    return type(label) is tuple and all(
+        type(p) is tuple and all(type(x) is int for x in p) for p in label
+    )
+
+
+def test_library_built_states_match_the_validating_constructor():
+    """The identity states and normalized() store what the checking constructor
+    would: the same coefficients, under canonical triples of ints."""
+    states = [identity_pair_state(n) for n in range(7)] + [
+        identity_lr_state(m, total - m) for total in range(9) for m in range(total + 1)
+    ]
+    for state in states:
+        kind = type(state)
+        assert state.coeffs == kind(*state.sizes, dict.fromkeys(state.labels, 1)).coeffs
+        first = next(iter(state.labels))
+        projector = (pair_projector_state if kind is TripleState else lr_projector_state)(*first)
+        for unnormalized in (state, projector):
+            norm = abs(unnormalized.g_norm_sq()) ** 0.5
+            checked = kind(*state.sizes, {k: v / norm for k, v in unnormalized.coeffs.items()})
+            built = unnormalized.normalized()
+            assert type(built) is kind and built.sizes == state.sizes
+            assert built.coeffs == checked.coeffs
+            assert list(built.coeffs) == list(checked.coeffs)
+            assert all(is_canonical_triple(label) for label in built.coeffs)
+        assert all(is_canonical_triple(label) for label in state.coeffs)
+
+
+def test_amplitude_scales_match_the_fraction_route():
+    """sqrt(d1 d2 d3 g / denominator) by int true division equals float(norm_sq) ** 0.5
+    bit for bit, so unit_amplitudes() is byte-equal to the Fraction route."""
+    states = [identity_pair_state(n) for n in range(1, 8)] + [
+        identity_lr_state(m, total - m) for total in range(1, 11) for m in range(total + 1)
+    ]
+    for state in states:
+        labels = state.support()
+        scales = [float(state.norm_sq(label)) ** 0.5 for label in labels]
+        assert [state.amplitude_scale(label) for label in labels] == scales
+        amps = np.array([complex(state.coeffs[label]) * s for label, s in zip(labels, scales)])
+        assert state.unit_amplitudes().tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
 
 def test_support_is_the_table_order():

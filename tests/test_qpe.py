@@ -65,7 +65,8 @@ def test_inverse_qft_inverts():
 
 def test_counter_closed_forms():
     """One run costs t queries and 2t + t(t-1)/2 counted gates, and walking
-    qpe_schedule(t) reads the same counters the statevector run increments."""
+    qpe_schedule(t) reads the same counters the statevector run increments.
+    qpe_outcomes reports that walk, as a fresh object on every call."""
     for t in range(1, 11):
         unitary = DiagonalUnitary((Fraction(1, 4),))
         _, counters, _ = qpe_run(unitary, [1.0], t)
@@ -74,6 +75,12 @@ def test_counter_closed_forms():
         assert counters.controlled_rk == t * (t - 1) // 2
         assert counters.total_gates == 2 * t + t * (t - 1) // 2
         assert schedule_counters(qpe_schedule(t)) == counters
+    for t in range(1, 41):
+        first = qpe_outcomes([1], [1.0], t).counters
+        assert first == schedule_counters(qpe_schedule(t))
+        first.hadamards += 1
+        first.cu_queries = 0
+        assert qpe_outcomes([1], [1.0], t).counters == schedule_counters(qpe_schedule(t))
 
 
 def test_qpe_run_calls_its_segments_by_name(monkeypatch):

@@ -1,6 +1,7 @@
 """Partition enumeration and character table checks against independent oracles."""
 
 import json
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projdetect import symgroup
+from projdetect.centre import projector_state
+from projdetect.detection import detect_projector
 from projdetect.symgroup import (
     CharacterTable,
     as_partition,
@@ -84,6 +87,25 @@ def test_parse_and_format_roundtrip():
         parse_partition("2,3")
     with pytest.raises(ValueError):
         as_partition((3, 0))
+
+
+def test_non_integral_parts_are_refused():
+    """A part must equal its int(): 2.5 used to be truncated to 2, and "2" read as 2."""
+    for parts in ([2.5, 1], (2, 1.5), (Fraction(5, 2),), (np.float64(1.5),), ("2", "1")):
+        with pytest.raises(ValueError, match="partition parts must be integers"):
+            as_partition(parts)
+    with pytest.raises(ValueError, match="must be integers"):
+        projector_state((2.7, 1))
+    with pytest.raises(ValueError, match="must be integers"):
+        detect_projector((3.5, 2, 1))
+    # integral input keeps its result and its messages
+    assert as_partition([2.0, np.int64(1), True, Fraction(1)]) == (2, 1, 1, 1)
+    assert as_partition(iter(np.array([3, 3]))) == (3, 3)
+    with pytest.raises(ValueError, match=r"^partition parts must be positive: \(3, 0\)$"):
+        as_partition((3.0, 0))
+    with pytest.raises(ValueError, match=r"^partition parts must be weakly decreasing: \(1, 2\)$"):
+        as_partition([1, 2])
+    assert parse_partition(" 3, 2 ,1 ") == (3, 2, 1)
 
 
 PARTITIONS_TO_20 = st.integers(min_value=0, max_value=20).flatmap(
